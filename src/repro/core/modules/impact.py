@@ -196,7 +196,8 @@ class ImpactAnalysisModule:
         assert apg is not None
 
         def pct(op_ids: set[str], factor: float = 1.0) -> float:
-            base = sum(max(extra_self.get(op_id, 0.0), 0.0) for op_id in op_ids)
+            # Sorted: a float sum in set order differs between hash seeds.
+            base = sum(max(extra_self.get(op_id, 0.0), 0.0) for op_id in sorted(op_ids))
             return min(max(base * factor / extra_plan * 100.0, 0.0), 100.0)
 
         if match.kind == "plan-regression":

@@ -2,13 +2,13 @@
 
 The repo's headline guarantees (byte-for-byte identical incident and
 correlation histories across thread interleavings and kill/resume) rest on
-conventions nothing else enforces: simulated-time-only code paths,
-``shared_pool()``-only execution, paired ``state_dict``/``load_state``
-checkpointing, locked store mutation, and registry-sourced keyspace names.
-This package makes them machine-checked:
+conventions that span the whole tree: simulated-time-only code paths,
+``shared_pool()``-only execution, locked store mutation, registry-sourced
+keyspace names and context-managed spans.  This package makes them
+machine-checked:
 
 * :mod:`repro.devtools.lint` — ``repro lint``, an AST-based static analyzer
-  with six project-specific checkers, pragma suppression, table/JSON output
+  with five project-specific checkers, pragma suppression, table/JSON output
   and a nonzero exit on findings (the CI gate);
 * :mod:`repro.devtools.sanitize` — an opt-in runtime sanitizer
   (``REPRO_SANITIZE=1``): tracked locks that flag lock-order inversions,

@@ -1,7 +1,7 @@
 """``repro lint`` — AST-based enforcement of the repo's correctness invariants.
 
-Nine checkers, each guarding a convention the determinism and durability
-guarantees depend on:
+Five checkers, each guarding a convention that spans many files and that no
+test exercises on every path:
 
 ``determinism``
     No wall-clock reads (``time.time()``, ``datetime.now()``, …) and no
@@ -12,19 +12,15 @@ guarantees depend on:
     "deterministic" replay diverge only under load — the worst kind of
     flake.  The single exemption is ``obs/clock.py`` — the observability
     subsystem's allowlisted monotonic clock; everything else (including the
-    rest of ``repro.obs``) measures wall durations through it.
+    rest of ``repro.obs``) measures wall durations through it.  Iteration
+    order is out of its reach: a float sum over a ``set`` differs between
+    hash seeds, which the two-process hash-seed test catches instead.
 ``executor-discipline``
     No raw ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` /
     ``threading.Thread`` / ``multiprocessing`` primitive construction
     outside ``runtime/pools.py`` and ``runtime/procpool.py``.  All fan-out
     goes through :func:`repro.runtime.shared_pool` so concurrency stays
     bounded by one budget (and the sanitizer can see task boundaries).
-``checkpoint-pairing``
-    A class defining ``state_dict`` must define ``load_state`` (and vice
-    versa); a one-sided checkpoint surface resumes to silently-stale state.
-``serializer-completeness``
-    Every ``*_to_dict`` in ``storage/serializers.py`` has a matching
-    ``*_from_dict``: a serializer without its inverse cannot round-trip.
 ``keyspace-literal``
     Backend keyspace names come from :mod:`repro.storage.keyspaces` — class
     ``KEYSPACE`` attributes, ``keyspace=`` parameter defaults and call-site
@@ -34,30 +30,20 @@ guarantees depend on:
     ``with self.<lock>:`` block.  The annotation also drives the runtime
     sanitizer (:func:`repro.devtools.sanitize.instrument_guarded`).
 ``obs-discipline``
-    Outside ``repro/obs/``, spans are used as context managers only (a
-    manually opened span that never closes holds the trace context for the
-    rest of the task and misparents everything after it), and
-    ``wall_clock()`` — the observability clock — is never called directly:
-    instrumented code measures wall durations through ``span()`` /
-    ``timed()``, which keeps the determinism allowlist at exactly one
-    module.
-``serve-discipline``
-    Inside ``repro/serve/``, ``async def`` bodies never call blocking
-    store/filesystem operations directly — journal scans, history replays,
-    event-log tails, manifest writes, ``open()``, ``time.sleep()`` all
-    belong in sync functions dispatched through ``Scheduler.call`` onto the
-    worker pool (one slow read inline would stall every tenant's watch and
-    every SSE client sharing the coordination loop).  Also:
-    :class:`~repro.storage.prefix.PrefixedBackend` is constructed only by
-    the tenant registry (``serve/tenants.py``) — keyspace prefixes minted
-    anywhere else would silently break tenant isolation.
-``procpool-discipline``
-    ``submit_task`` call sites outside ``runtime/procpool.py`` hand off
-    JSON documents, not live object graphs: the task must be a (dotted
-    ``"module:function"``) string, and the payload expression must not be a
-    lambda, contain a lambda, or pass a bare ``self`` — closures and object
-    graphs don't survive the serializer-based process handoff, and the
-    failure would otherwise surface only at runtime on the process backend.
+    Outside ``repro/obs/``, spans (``span()`` and ``worker_span()``) are used
+    as context managers only (a manually opened span that never closes holds
+    the trace context for the rest of the task and misparents everything
+    after it), and ``wall_clock()`` — the observability clock — is never
+    called directly: instrumented code measures wall durations through
+    ``span()`` / ``timed()``, which keeps the determinism allowlist at
+    exactly one module.
+
+Invariants local to one module or one pairing are enforced by tests that
+exercise the real code instead: ``state_dict``/``load_state`` and
+``*_to_dict``/``*_from_dict`` pairs by an introspection test, the JSON-only
+process handoff by :class:`~repro.runtime.procpool.ProcpoolPayloadError`,
+the non-blocking serve loop by the serve suite's loop-thread guard, and
+worker-side spans by a test that looks for them in the parent's tracer.
 
 Suppression: append ``# repro-lint: disable=<check>[,<check>…]`` (or
 ``disable=all``) to the offending line, with a comment saying *why*; a
@@ -75,7 +61,8 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -155,13 +142,7 @@ class Finding:
     message: str
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "check": self.check,
-            "message": self.message,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.check}] {self.message}"
@@ -401,102 +382,6 @@ class ExecutorChecker(Checker):
                 )
 
 
-class CheckpointPairingChecker(Checker):
-    """state_dict and load_state come in pairs."""
-
-    name = "checkpoint-pairing"
-    _PAIR = ("state_dict", "load_state")
-
-    def run(self, ctx: FileContext) -> Iterator[Finding]:
-        classes: dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for cls in classes.values():
-            methods, resolved = self._methods(cls, classes, set())
-            if not resolved:
-                # A base class lives in another module; without it we cannot
-                # prove the pair is broken, so stay quiet (no false alarms).
-                continue
-            has = {name for name in self._PAIR if name in methods}
-            if len(has) == 1:
-                present = has.pop()
-                missing = (set(self._PAIR) - {present}).pop()
-                yield self._finding(
-                    ctx,
-                    cls,
-                    f"class {cls.name} defines {present}() but not "
-                    f"{missing}(); a one-sided checkpoint surface resumes to "
-                    "stale state",
-                )
-
-    def _methods(
-        self,
-        cls: ast.ClassDef,
-        classes: dict[str, ast.ClassDef],
-        seen: set[str],
-    ) -> tuple[set[str], bool]:
-        """(method names incl. same-module bases, fully-resolved?)."""
-        if cls.name in seen:
-            return set(), True
-        seen.add(cls.name)
-        names = {
-            stmt.name
-            for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        # Assignment aliases count too (e.g. ``restore = load_state``).
-        for stmt in cls.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        resolved = True
-        for base in cls.bases:
-            if isinstance(base, ast.Name):
-                if base.id in ("object", "Protocol", "Generic", "ABC", "Enum"):
-                    continue
-                if base.id in classes:
-                    base_names, base_resolved = self._methods(
-                        classes[base.id], classes, seen
-                    )
-                    names |= base_names
-                    resolved = resolved and base_resolved
-                else:
-                    resolved = False
-            else:
-                resolved = False
-        return names, resolved
-
-
-class SerializerPairingChecker(Checker):
-    """Every *_to_dict in storage/serializers.py has its *_from_dict."""
-
-    name = "serializer-completeness"
-
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.parts[-1] == "serializers.py"
-
-    def run(self, ctx: FileContext) -> Iterator[Finding]:
-        functions: dict[str, ast.FunctionDef] = {
-            node.name: node
-            for node in ctx.tree.body
-            if isinstance(node, ast.FunctionDef)
-        }
-        for name, node in functions.items():
-            for suffix, inverse in (("_to_dict", "_from_dict"), ("_from_dict", "_to_dict")):
-                if name.endswith(suffix):
-                    partner = name[: -len(suffix)] + inverse
-                    if partner not in functions:
-                        yield self._finding(
-                            ctx,
-                            node,
-                            f"{name}() has no {partner}(); a serializer "
-                            "without its inverse cannot round-trip",
-                        )
-
-
 class KeyspaceLiteralChecker(Checker):
     """Keyspace names come from repro.storage.keyspaces, not literals."""
 
@@ -529,20 +414,10 @@ class KeyspaceLiteralChecker(Checker):
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 positional = args.posonlyargs + args.args
-                for arg, default in zip(
-                    positional[len(positional) - len(args.defaults):], args.defaults
-                ):
-                    if (
-                        arg.arg == "keyspace"
-                        and isinstance(default, ast.Constant)
-                        and isinstance(default.value, str)
-                    ):
-                        yield self._finding(
-                            ctx,
-                            default,
-                            f"literal keyspace default {default.value!r}; {advice}",
-                        )
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                defaults = list(
+                    zip(positional[len(positional) - len(args.defaults):], args.defaults)
+                ) + list(zip(args.kwonlyargs, args.kw_defaults))
+                for arg, default in defaults:
                     if (
                         arg.arg == "keyspace"
                         and isinstance(default, ast.Constant)
@@ -734,17 +609,9 @@ class GuardedFieldsChecker(Checker):
 
 
 class ObsDisciplineChecker(Checker):
-    """Spans are context managers; wall-clock reads stay inside repro/obs;
-    worker-side task modules only emit spans through the buffered API."""
+    """Spans are context managers; wall-clock reads stay inside repro/obs."""
 
     name = "obs-discipline"
-
-    #: Modules whose functions execute *inside pool worker processes*.  The
-    #: process-wide tracer there has no sink and its spans would be lost (or
-    #: worse, block the task path journalling them) — worker-side code must
-    #: emit spans through ``repro.obs.worker.worker_span``, which buffers
-    #: them for the piggy-backed result-path merge.
-    WORKER_HOMES = (("stream", "worker.py"),)
 
     def applies(self, ctx: FileContext) -> bool:
         # The obs package itself is exempt: the tracer's factory methods
@@ -753,7 +620,6 @@ class ObsDisciplineChecker(Checker):
         return "obs" not in ctx.parts
 
     def run(self, ctx: FileContext) -> Iterator[Finding]:
-        worker_side = tuple(ctx.parts[-2:]) in self.WORKER_HOMES
         with_items: set[int] = set()
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -764,9 +630,9 @@ class ObsDisciplineChecker(Checker):
                 continue
             name = ctx.dotted(node.func)
             if name is None:
-                # Chains through a call (``tracer().set_sink``) defeat alias
+                # Chains through a call (``tracer().span``) defeat alias
                 # resolution; the bare attribute leaf is still diagnostic for
-                # the obs-only method names this checker polices.
+                # the obs-only names this checker polices.
                 if not isinstance(node.func, ast.Attribute):
                     continue
                 name = node.func.attr
@@ -779,213 +645,23 @@ class ObsDisciplineChecker(Checker):
                     "repro/obs/; measure wall durations through span() or "
                     "metrics.timed() instead",
                 )
-            elif leaf == "span" and worker_side:
-                yield self._finding(
-                    ctx,
-                    node,
-                    f"{name}() in a worker-side task module; the worker "
-                    "tracer has no sink and a direct span would be lost — "
-                    "buffer it with obs.worker.worker_span() so the result "
-                    "path merges it into the parent timeline",
-                )
-            elif leaf == "span" and id(node) not in with_items:
+            elif leaf in ("span", "worker_span") and id(node) not in with_items:
                 yield self._finding(
                     ctx,
                     node,
                     f"{name}() opened outside a `with` statement; a span "
                     "that is never closed holds the trace context and "
-                    "misparents every later span — use "
-                    "`with span(...):`",
+                    f"misparents every later span — use `with {leaf}(...):`",
                 )
-            elif leaf == "set_sink" and worker_side:
-                yield self._finding(
-                    ctx,
-                    node,
-                    f"{name}() in a worker-side task module; workers never "
-                    "attach a journal sink — spans travel home buffered on "
-                    "the task result path, not through a second writer on "
-                    "the same state dir",
-                )
-            elif leaf == "worker_span" and id(node) not in with_items:
-                yield self._finding(
-                    ctx,
-                    node,
-                    f"{name}() opened outside a `with` statement; an "
-                    "unclosed worker span never reaches the buffer and "
-                    "misparents every later span — use "
-                    "`with worker_span(...):`",
-                )
-
-
-class ServeDisciplineChecker(Checker):
-    """serve/ handlers stay non-blocking; only the registry mints prefixes.
-
-    The serve subsystem multiplexes every tenant's supervisor and every SSE
-    client onto ONE event loop.  A single blocking store scan inline in an
-    ``async def`` freezes all of them at once — so this checker walks every
-    async function under ``repro/serve/`` and flags direct calls to the
-    known-blocking surface (store reads, journal replays, filesystem ops,
-    ``open()``, ``time.sleep()``).  Sync functions are exempt: they are the
-    bodies that ``Scheduler.call`` dispatches to the worker pool.
-    """
-
-    name = "serve-discipline"
-
-    #: Method leaves that hit disk/database when called on a store, backend,
-    #: event log, or Path.  (Deliberately not ``close``/``write``/``drain``:
-    #: those are legitimate StreamWriter coroutine-side calls.)
-    _BLOCKING_LEAVES = frozenset(
-        {
-            "scan",
-            "history",
-            "replay",
-            "tail",
-            "refresh",
-            "keyspaces",
-            "flush",
-            "consume_log",
-            "read_text",
-            "write_text",
-            "rmtree",
-            "unlink",
-            "rglob",
-            "atomic_write_json",
-            "set_watch",
-        }
-    )
-
-    def applies(self, ctx: FileContext) -> bool:
-        return "serve" in ctx.parts
-
-    def run(self, ctx: FileContext) -> Iterator[Finding]:
-        in_tenants = ctx.parts[-1] == "tenants.py"
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = ctx.dotted(node.func)
-                if (
-                    not in_tenants
-                    and name is not None
-                    and name.rsplit(".", 1)[-1] == "PrefixedBackend"
-                ):
-                    yield self._finding(
-                        ctx,
-                        node,
-                        "PrefixedBackend constructed outside serve/tenants.py; "
-                        "keyspace prefixes are minted only by the tenant "
-                        "registry (use registry.backend_for(tenant))",
-                    )
-            if isinstance(node, ast.AsyncFunctionDef):
-                yield from self._check_async(ctx, node)
-
-    def _check_async(
-        self, ctx: FileContext, func: ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        def walk(node: ast.AST) -> Iterator[Finding]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.FunctionDef):
-                    continue  # sync body: runs on the pool via Scheduler.call
-                if isinstance(child, ast.Call):
-                    yield from self._check_call(ctx, func, child)
-                yield from walk(child)
-
-        yield from walk(func)
-
-    def _check_call(
-        self, ctx: FileContext, func: ast.AsyncFunctionDef, node: ast.Call
-    ) -> Iterator[Finding]:
-        name = ctx.dotted(node.func)
-        advice = (
-            "blocking call in async handler {func}(); route it through "
-            "Scheduler.call onto the worker pool (one inline blocking call "
-            "stalls every tenant and SSE client on the coordination loop)"
-        ).format(func=func.name)
-        if name == "open" or name == "time.sleep":
-            yield self._finding(ctx, node, f"{name}(): {advice}")
-            return
-        if isinstance(node.func, ast.Attribute):
-            leaf = node.func.attr
-            if leaf in self._BLOCKING_LEAVES:
-                yield self._finding(ctx, node, f".{leaf}(): {advice}")
-
-
-class ProcpoolDisciplineChecker(Checker):
-    """Process-pool handoffs stay serializer-friendly at the call site.
-
-    :meth:`~repro.runtime.procpool.ProcessWorkerPool.submit_task` serialises
-    payloads with ``json.dumps`` and resolves tasks by dotted name inside the
-    worker — nothing else crosses the process boundary.  This checker
-    enforces the lexical half of that contract at every ``submit_task`` call
-    outside the executor homes: the task argument must be a string (a
-    ``"module:function"`` literal or a constant that holds one — never a
-    function object), and the payload expression must not capture a live
-    object graph — no lambdas (closures don't serialise) and no bare
-    ``self`` passed whole as the payload.  Dict literals whose values read
-    attributes are fine: that is a JSON document being assembled.
-    """
-
-    name = "procpool-discipline"
-
-    def applies(self, ctx: FileContext) -> bool:
-        return tuple(ctx.parts[-2:]) not in EXECUTOR_HOMES
-
-    def run(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit_task"
-            ):
-                continue
-            task = node.args[0] if node.args else None
-            payload = node.args[1] if len(node.args) > 1 else None
-            for keyword in node.keywords:
-                if keyword.arg == "payload":
-                    payload = keyword.value
-            if isinstance(task, ast.Lambda) or (
-                isinstance(task, ast.Constant) and not isinstance(task.value, str)
-            ):
-                yield self._finding(
-                    ctx,
-                    node,
-                    "submit_task task must be a dotted 'module:function' "
-                    "string — function objects cannot cross the process "
-                    "boundary",
-                )
-            if payload is None:
-                continue
-            if isinstance(payload, ast.Name) and payload.id == "self":
-                yield self._finding(
-                    ctx,
-                    node,
-                    "submit_task payload passes `self` whole; hand off a "
-                    "JSON-able document (dict of primitives), not a live "
-                    "object graph",
-                )
-                continue
-            for child in ast.walk(payload):
-                if isinstance(child, ast.Lambda):
-                    yield self._finding(
-                        ctx,
-                        node,
-                        "lambda inside a submit_task payload; closures do "
-                        "not survive the serializer-based process handoff — "
-                        "pass data and resolve behaviour by dotted task name",
-                    )
-                    break
 
 
 #: Registered checkers, in report order.
 CHECKERS: tuple[Checker, ...] = (
     DeterminismChecker(),
     ExecutorChecker(),
-    CheckpointPairingChecker(),
-    SerializerPairingChecker(),
     KeyspaceLiteralChecker(),
     GuardedFieldsChecker(),
     ObsDisciplineChecker(),
-    ServeDisciplineChecker(),
-    ProcpoolDisciplineChecker(),
 )
 
 CHECKER_NAMES = tuple(checker.name for checker in CHECKERS)
@@ -1086,9 +762,7 @@ def render_findings(findings: list[Finding]) -> str:
     if not findings:
         return "repro lint: clean"
     lines = [finding.render() for finding in findings]
-    by_check: dict[str, int] = {}
-    for finding in findings:
-        by_check[finding.check] = by_check.get(finding.check, 0) + 1
+    by_check = Counter(finding.check for finding in findings)
     summary = ", ".join(f"{count} {name}" for name, count in sorted(by_check.items()))
     lines.append(f"\n{len(findings)} finding(s): {summary}")
     return "\n".join(lines)

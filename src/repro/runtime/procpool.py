@@ -15,9 +15,10 @@ underneath it:
 * **Serializer-based handoff.**  Payloads and results are JSON documents —
   the task registry is a dotted import path resolved *inside* the worker
   (``"repro.stream.worker:advance_env"``), so nothing is pickled except
-  plain strings.  A payload that does not survive ``json.dumps`` fails fast
-  with :class:`ProcpoolPayloadError` (the ``procpool-discipline`` lint rule
-  catches the obvious object-graph captures statically).
+  plain strings.  A payload that does not survive ``json.dumps`` (a lambda,
+  a live object graph) fails fast in :meth:`~ProcessWorkerPool.submit_task`
+  with :class:`ProcpoolPayloadError`; the process-backend suites drive every
+  ``submit_task`` call site, so such a payload fails them.
 * **Thread front, process back.**  ``submit``/``map_bounded`` keep running
   arbitrary callables on the inherited thread executor; those dispatch
   threads block on worker results, releasing the GIL, so the supervisor's
@@ -27,7 +28,9 @@ underneath it:
 Workers default to the ``fork`` start method (``REPRO_POOL_START``
 overrides), start lazily on the first ``submit_task``, and are reaped by
 ``shutdown``; a worker that dies mid-task fails the in-flight futures routed
-to it instead of hanging the dispatcher.
+to it instead of hanging the dispatcher.  A forked worker drops the signal
+handlers it inherits (``repro serve`` installs asyncio ones), so SIGTERM
+ends it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import json
 import multiprocessing
 import os
 import queue as stdlib_queue
+import signal
 import threading
 import traceback
 from concurrent.futures import Future
@@ -90,6 +94,11 @@ def _worker_main(worker_id: int, tasks: Any, results: Any) -> None:
     the traceback rides along on failures so the parent-side exception names
     the worker-side frame, not just "task failed".
     """
+    # A forked worker inherits the parent's handlers; an asyncio one would
+    # swallow the SIGTERM that ``terminate()`` and interpreter exit send.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     while True:
         item = tasks.get()
         if item is None:
@@ -303,9 +312,9 @@ class ProcessWorkerPool(WorkerPool):
             body = json.dumps(envelope)
         except TypeError as exc:
             raise ProcpoolPayloadError(
-                f"payload for task {task!r} is not JSON-able ({exc}); "
-                "procpool-discipline: build payloads from plain dicts via the "
-                "storage serializers, never live object graphs"
+                f"payload for task {task!r} is not JSON-able ({exc}); build "
+                "payloads from plain dicts via the storage serializers, never "
+                "live object graphs"
             ) from None
         self._ensure_started()
         future: "Future[Any]" = Future()

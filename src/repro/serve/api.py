@@ -3,10 +3,9 @@
 Every handler here is an ``async def`` running on the coordination loop, so
 none of them may touch the stores directly — journal replays and history
 queries are module-level *sync* functions dispatched through
-``Scheduler.call`` onto the worker pool.  The ``serve-discipline`` lint
-checker fails this module if a handler ever calls a blocking store method
-inline, and if anything outside the tenant registry mints a keyspace
-prefix.
+``Scheduler.call`` onto the worker pool.  The serve suite runs every test
+under a guard that fails it if a handler (or anything else on the loop
+thread) calls a blocking store or file method inline.
 
 The surface (all JSON unless noted)::
 

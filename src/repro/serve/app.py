@@ -7,8 +7,9 @@ keyspace prefixes, and one :class:`~repro.runtime.Scheduler` whose event
 loop carries *everything*: the HTTP accept loop, every tenant's
 :class:`~repro.stream.FleetSupervisor` (via ``run_async``), and every SSE
 client's consumer task.  Blocking work — store replays, scenario
-fast-forwards, manifest writes — goes through ``Scheduler.call`` onto the
-worker pool; the ``serve-discipline`` lint checker keeps it that way.
+fast-forwards, manifest writes, a stopping watch's last checkpoint — goes
+through ``Scheduler.call`` onto the worker pool; the serve suite's
+loop-thread guard keeps it that way.
 
 Crash-resume is the tentpole guarantee: each started watch flips its
 tenant's manifest entry to ``running`` *before* the first chunk advances,

@@ -10,7 +10,8 @@ router, JSON responses, and a streaming hook for SSE.
 Deliberately *not* general: one request per connection
 (``Connection: close``), no keep-alive, no chunked request bodies, no TLS.
 Every handler is an ``async def`` that must route blocking work through
-``Scheduler.call`` — the ``serve-discipline`` lint checker enforces this.
+``Scheduler.call``; the serve suite fails any test in which a blocking store
+or file call runs on the loop thread.
 """
 
 from __future__ import annotations

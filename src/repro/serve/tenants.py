@@ -17,9 +17,10 @@ tenant ids, prefixes, and each tenant's fleet spec + whether its watch was
 running.  It is atomically replaced on every mutation, so a SIGKILLed
 server restarts knowing exactly which tenants' watches to resume.
 
-This module is the **only** place keyspace prefixes are minted — the
-``serve-discipline`` lint checker fails any other serve module constructing
-a :class:`PrefixedBackend`.
+This module is the **only** place keyspace prefixes are minted: no other
+module constructs a :class:`PrefixedBackend`, and handlers get a tenant's
+view from :meth:`TenantRegistry.backend_for`.  A prefix minted anywhere else
+could overlap a tenant's and silently break isolation.
 """
 
 from __future__ import annotations

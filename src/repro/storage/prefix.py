@@ -15,8 +15,8 @@ Isolation is by construction: a scan through one tenant's view can only ever
 name that tenant's keyspaces, so two tenants running the *same* scenario
 with the *same* environment names in one state root never read each other's
 records.  Prefixes are minted only by the tenant registry
-(:class:`repro.serve.tenants.TenantRegistry`) — the ``serve-discipline``
-lint checker enforces that no other serve module constructs one.
+(:class:`repro.serve.tenants.TenantRegistry`); no other module constructs
+a view.
 
 ``close()`` on a view only flushes: the shared backend outlives any one
 tenant and is closed by its owner (the serve app) at shutdown.

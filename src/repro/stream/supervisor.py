@@ -976,22 +976,9 @@ class FleetSupervisor:
             if flusher is not None:
                 flusher.cancel()
                 await asyncio.gather(flusher, return_exceptions=True)
-            if self.state_dir is not None:
-                # Final write persists the stored iteration-BOUNDARY
-                # snapshots, never a fresh re-snapshot: after a failed or
-                # cancelled advance an environment's live detector state is
-                # mid-chunk (torn against its boundary clock), and resuming
-                # from it would double-count the re-simulated samples.  The
-                # boundary snapshots are consistent by construction.
-                self._checkpoint_dirty = False
-                self._write_checkpoint()
-            # Quiesce the observability sidecar: one last metrics snapshot,
-            # flush the span journal, and detach the process-wide sink so a
-            # later run (or another supervisor) attaches its own.
-            self._snapshot_obs()
-            if self.obs_backend is not None:
-                obs_trace.tracer().set_sink(None)
-                self.obs_backend.flush()
+            # Journal flushes and file writes: on the pool, like the
+            # flusher's, so a stopping watch never stalls the shared loop.
+            await scheduler.call(self._quiesce)
         self._emit(
             on_event,
             {
@@ -1215,6 +1202,26 @@ class FleetSupervisor:
         """Point the process-wide tracer at this run's sidecar backend."""
         if self.obs_backend is not None:
             obs_trace.tracer().set_sink(self.obs_backend)
+
+    def _quiesce(self) -> None:
+        """End-of-run writes, stopped or finished: checkpoint, then obs.
+
+        The checkpoint persists the stored iteration-BOUNDARY snapshots,
+        never a fresh re-snapshot: after a failed or cancelled advance an
+        environment's live detector state is mid-chunk (torn against its
+        boundary clock), and resuming from it would double-count the
+        re-simulated samples.  The boundary snapshots are consistent by
+        construction.  Then the observability sidecar: one last metrics
+        snapshot, flush the span journal, and detach the process-wide sink
+        so a later run (or another supervisor) attaches its own.
+        """
+        if self.state_dir is not None:
+            self._checkpoint_dirty = False
+            self._write_checkpoint()
+        self._snapshot_obs()
+        if self.obs_backend is not None:
+            obs_trace.tracer().set_sink(None)
+            self.obs_backend.flush()
 
     def _snapshot_obs(self) -> None:
         """Persist one metrics snapshot (pool gauges refreshed first).

@@ -194,215 +194,6 @@ class TestExecutorDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# procpool-discipline
-# ---------------------------------------------------------------------------
-
-
-class TestProcpoolDiscipline:
-    def test_lambda_payload_flagged(self):
-        findings = lint(
-            """
-            def kick(pool, env):
-                pool.submit_task("mod:task", lambda: env.advance(), affinity="a")
-            """,
-            path=NONSIM,
-        )
-        assert checks(findings) == ["procpool-discipline"]
-        assert "lambda" in findings[0].message
-
-    def test_nested_lambda_in_payload_flagged(self):
-        findings = lint(
-            """
-            def kick(pool):
-                pool.submit_task("mod:task", {"cb": lambda x: x}, affinity="a")
-            """,
-            path=NONSIM,
-        )
-        assert checks(findings) == ["procpool-discipline"]
-
-    def test_bare_self_payload_flagged(self):
-        findings = lint(
-            """
-            class Proxy:
-                def kick(self, pool):
-                    pool.submit_task("mod:task", self, affinity="a")
-            """,
-            path=NONSIM,
-        )
-        assert checks(findings) == ["procpool-discipline"]
-        assert "object graph" in findings[0].message
-
-    def test_non_string_task_flagged(self):
-        findings = lint(
-            """
-            def kick(pool):
-                pool.submit_task(42, {"x": 1})
-            """,
-            path=NONSIM,
-        )
-        assert checks(findings) == ["procpool-discipline"]
-        assert "dotted" in findings[0].message
-
-    def test_json_document_payload_clean(self):
-        assert (
-            lint(
-                """
-                TASK = "repro.stream.worker:advance_env"
-
-                class Proxy:
-                    def kick(self, pool):
-                        pool.submit_task(
-                            TASK,
-                            {"spec": self.spec, "chunk_s": 1800.0},
-                            affinity=self.name,
-                        )
-                """,
-                path=NONSIM,
-            )
-            == []
-        )
-
-    def test_procpool_module_exempt(self):
-        assert (
-            lint(
-                """
-                def run_task(self, task, payload):
-                    return self.submit_task(task, payload).result()
-                """,
-                path="src/repro/runtime/procpool.py",
-            )
-            == []
-        )
-
-
-# ---------------------------------------------------------------------------
-# checkpoint-pairing
-# ---------------------------------------------------------------------------
-
-
-class TestCheckpointPairing:
-    def test_one_sided_pair_flagged(self):
-        findings = lint(
-            """
-            class Engine:
-                def state_dict(self):
-                    return {}
-            """,
-            path=NONSIM,
-        )
-        assert checks(findings) == ["checkpoint-pairing"]
-        assert "load_state" in findings[0].message
-
-    def test_complete_pair_clean(self):
-        assert (
-            lint(
-                """
-                class Engine:
-                    def state_dict(self):
-                        return {}
-
-                    def load_state(self, state):
-                        pass
-                """,
-                path=NONSIM,
-            )
-            == []
-        )
-
-    def test_assignment_alias_counts(self):
-        # ``load_state = _restore`` style aliases satisfy the pair.
-        assert (
-            lint(
-                """
-                def _restore(self, state):
-                    pass
-
-                class Engine:
-                    def state_dict(self):
-                        return {}
-
-                    load_state = _restore
-                """,
-                path=NONSIM,
-            )
-            == []
-        )
-
-    def test_same_module_inheritance_resolved(self):
-        # Engine inherits load_state from Base, so overriding only
-        # state_dict does not break the pair.
-        assert (
-            lint(
-                """
-                class Base:
-                    def state_dict(self):
-                        return {}
-
-                    def load_state(self, state):
-                        pass
-
-                class Engine(Base):
-                    def state_dict(self):
-                        return {"extra": 1}
-                """,
-                path=NONSIM,
-            )
-            == []
-        )
-
-    def test_unresolvable_base_stays_quiet(self):
-        # The missing half may live on the imported base; no false alarm.
-        assert (
-            lint(
-                """
-                from elsewhere import Base
-
-                class Engine(Base):
-                    def state_dict(self):
-                        return {}
-                """,
-                path=NONSIM,
-            )
-            == []
-        )
-
-
-# ---------------------------------------------------------------------------
-# serializer-completeness
-# ---------------------------------------------------------------------------
-
-
-class TestSerializerCompleteness:
-    SOURCE = """
-    def incident_to_dict(incident):
-        return {}
-    """
-
-    def test_missing_inverse_flagged(self):
-        findings = lint(self.SOURCE, path="src/repro/storage/serializers.py")
-        assert checks(findings) == ["serializer-completeness"]
-        assert "incident_from_dict" in findings[0].message
-
-    def test_complete_pair_clean(self):
-        assert (
-            lint(
-                """
-                def incident_to_dict(incident):
-                    return {}
-
-                def incident_from_dict(payload):
-                    return None
-                """,
-                path="src/repro/storage/serializers.py",
-            )
-            == []
-        )
-
-    def test_only_serializers_module_checked(self):
-        assert lint(self.SOURCE, path=NONSIM) == []
-
-
-# ---------------------------------------------------------------------------
 # keyspace-literal
 # ---------------------------------------------------------------------------
 
@@ -583,11 +374,6 @@ class TestGuardedFields:
 
 
 # ---------------------------------------------------------------------------
-# pragmas, strict mode, selection
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # obs-discipline
 # ---------------------------------------------------------------------------
 
@@ -632,6 +418,19 @@ class TestObsDiscipline:
         assert checks(findings) == ["obs-discipline"]
         assert "with span" in findings[0].message
 
+    def test_worker_span_outside_with_statement_flagged(self):
+        findings = lint(
+            """
+            from repro.obs import worker as obs_worker
+
+            def leak():
+                return obs_worker.worker_span("worker.leak")
+            """,
+            path=NONSIM,
+        )
+        assert checks(findings) == ["obs-discipline"]
+        assert "with worker_span" in findings[0].message
+
     def test_span_as_with_item_clean(self):
         findings = lint(
             """
@@ -672,91 +471,9 @@ class TestObsDiscipline:
         assert "determinism" in checks(findings)
 
 
-class TestServeDiscipline:
-    SERVE = "src/repro/serve/fixture.py"
-
-    def test_blocking_store_call_in_handler_flagged(self):
-        findings = lint(
-            """
-            async def incidents(request):
-                return list(store.scan("incidents"))
-            """,
-            path=self.SERVE,
-        )
-        assert checks(findings) == ["serve-discipline"]
-        assert "scan" in findings[0].message
-
-    def test_sleep_and_open_in_handler_flagged(self):
-        findings = lint(
-            """
-            import time
-
-            async def handler(request):
-                time.sleep(1.0)
-                with open("x") as f:
-                    return f.read()
-            """,
-            path=self.SERVE,
-        )
-        assert checks(findings) == ["serve-discipline"] * 2
-
-    def test_scheduler_dispatch_is_clean(self):
-        findings = lint(
-            """
-            from functools import partial
-
-            async def incidents(request):
-                return await app.scheduler.call(partial(query, "incidents"))
-            """,
-            path=self.SERVE,
-        )
-        assert findings == []
-
-    def test_sync_helper_in_serve_module_exempt(self):
-        # Blocking work belongs in sync functions (dispatched via
-        # Scheduler.call); only coroutine bodies are constrained.
-        findings = lint(
-            """
-            def query(store):
-                return store.history(env=None)
-            """,
-            path=self.SERVE,
-        )
-        assert findings == []
-
-    def test_nested_sync_function_exempt(self):
-        findings = lint(
-            """
-            async def handler(request):
-                def blocking():
-                    return store.replay()
-                return await app.scheduler.call(blocking)
-            """,
-            path=self.SERVE,
-        )
-        assert findings == []
-
-    def test_prefixed_backend_minted_outside_registry_flagged(self):
-        source = """
-        from repro.storage.prefix import PrefixedBackend
-
-        def view(backend):
-            return PrefixedBackend(backend, "t_acme__")
-        """
-        findings = lint(source, path=self.SERVE)
-        assert checks(findings) == ["serve-discipline"]
-        assert "PrefixedBackend" in findings[0].message
-        assert lint(source, path="src/repro/serve/tenants.py") == []
-
-    def test_other_packages_exempt(self):
-        findings = lint(
-            """
-            async def handler(request):
-                return list(store.scan("incidents"))
-            """,
-            path=NONSIM,
-        )
-        assert findings == []
+# ---------------------------------------------------------------------------
+# pragmas, strict mode, selection
+# ---------------------------------------------------------------------------
 
 
 class TestPragmas:
@@ -882,84 +599,7 @@ class TestRunner:
         assert CHECKER_NAMES == (
             "determinism",
             "executor-discipline",
-            "checkpoint-pairing",
-            "serializer-completeness",
             "keyspace-literal",
             "guarded-fields",
             "obs-discipline",
-            "serve-discipline",
-            "procpool-discipline",
         )
-
-
-class TestObsWorkerDiscipline:
-    """Worker-side task modules only emit spans through the buffered API."""
-
-    WORKER = "src/repro/stream/worker.py"
-
-    def test_direct_span_in_worker_module_flagged(self):
-        findings = lint(
-            """
-            from repro.obs import span
-
-            def advance_env(payload):
-                with span("advance"):
-                    pass
-            """,
-            path=self.WORKER,
-        )
-        assert checks(findings) == ["obs-discipline"]
-        assert "worker_span" in findings[0].message
-
-    def test_worker_span_in_worker_module_clean(self):
-        findings = lint(
-            """
-            from repro.obs import worker as obs_worker
-
-            def advance_env(payload):
-                with obs_worker.worker_span("worker.advance"):
-                    pass
-            """,
-            path=self.WORKER,
-        )
-        assert findings == []
-
-    def test_set_sink_in_worker_module_flagged(self):
-        findings = lint(
-            """
-            from repro.obs import trace as obs_trace
-
-            def hydrate(payload):
-                obs_trace.tracer().set_sink(payload)
-            """,
-            path=self.WORKER,
-        )
-        assert checks(findings) == ["obs-discipline"]
-        assert "sink" in findings[0].message
-
-    def test_unclosed_worker_span_flagged_everywhere(self):
-        findings = lint(
-            """
-            from repro.obs import worker as obs_worker
-
-            def leak():
-                s = obs_worker.worker_span("worker.leak")
-                return s
-            """,
-            path=self.WORKER,
-        )
-        assert checks(findings) == ["obs-discipline"]
-        assert "with worker_span" in findings[0].message
-
-    def test_direct_span_outside_worker_modules_still_clean(self):
-        findings = lint(
-            """
-            from repro.obs import span
-
-            def supervise():
-                with span("tick"):
-                    pass
-            """,
-            path=NONSIM,
-        )
-        assert findings == []

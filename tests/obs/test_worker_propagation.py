@@ -160,6 +160,27 @@ class TestProcessPoolSeam:
         assert task_span["t"] == 42.0
         assert task_span["attrs"]["pid"] > 0
 
+    def test_advance_span_reaches_parent_tracer(self, obs_enabled):
+        # Worker code must open spans through worker_span(): a plain span()
+        # lands in the worker's own tracer and never reaches this one.
+        pool_mod = pytest.importorskip("repro.runtime.procpool")
+        from repro.stream.remote import ADVANCE_TASK
+
+        sink = _sink()
+        spec = {"name": "e1", "scenario": "lock-contention", "hours": 2.0}
+        pool = pool_mod.ProcessWorkerPool(processes=1)
+        try:
+            with obs_trace.span("advance", env="e1") as parent:
+                pool.run_task(
+                    ADVANCE_TASK, {"spec": spec, "chunk_s": 1800.0}, affinity="e1"
+                )
+        finally:
+            pool.shutdown()
+        records = {r["name"]: r for r in sink.scan("traces")}
+        assert records["worker.task"]["parent_id"] == parent.span_id
+        assert records["worker.advance"]["parent_id"] == records["worker.task"]["span_id"]
+        assert records["worker.advance"]["k"] == "e1"
+
     def test_obs_off_result_unwrapped(self, obs_disabled):
         pool_mod = pytest.importorskip("repro.runtime.procpool")
         pool = pool_mod.ProcessWorkerPool(processes=1)

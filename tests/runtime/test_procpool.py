@@ -73,7 +73,7 @@ class TestProcessWorkerPool:
         assert all(w["handoff_bytes"] > 0 for w in stats["workers"])
 
     def test_unjsonable_payload_fails_fast(self, pool):
-        with pytest.raises(ProcpoolPayloadError, match="procpool-discipline"):
+        with pytest.raises(ProcpoolPayloadError, match="not JSON-able"):
             pool.submit_task(f"{HERE}:echo", {"x": object()})
 
     def test_unjsonable_result_fails_the_future(self, pool):

@@ -3,18 +3,96 @@
 The server runs exactly as production does — ``ServeApp.serve_forever`` on
 its own thread (tests are outside ``src/``, so the executor-discipline lint
 does not apply), binding port 0 and exposing a tiny JSON request helper.
+
+Every test also runs under a loop-thread guard: a blocking store or file
+call made on the thread that runs an asyncio loop fails the test.
 """
 
 from __future__ import annotations
 
+import asyncio
+import builtins
+import functools
+import importlib
+import inspect
 import json
 import http.client
+import pkgutil
+import shutil
+import sys
 import threading
 import time
+import traceback
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.serve import ServeApp
+
+#: Store and journal methods (and ``atomic_write_json``) that hit disk or a
+#: database.  One of them inline on the server's event loop stalls every
+#: tenant's watch and every SSE client at once; the server runs them on
+#: the worker pool through ``Scheduler.call``.
+BLOCKING_NAMES = frozenset(
+    "scan history replay tail refresh keyspaces flush consume_log set_watch "
+    "atomic_write_json".split()
+)
+
+
+def _blocking_sites():
+    """(owner, attribute) of every blocking callable the server can reach."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("repro."):
+            continue
+        for attr, value in vars(module).items():
+            if attr in BLOCKING_NAMES and inspect.isfunction(value):
+                yield module, attr  # bound by name wherever it is imported
+            elif inspect.isclass(value) and value.__module__ == name:
+                for method in BLOCKING_NAMES.intersection(vars(value)):
+                    if inspect.isfunction(vars(value)[method]):
+                        yield value, method
+    for method in ("read_text", "write_text", "unlink", "rglob"):
+        yield Path, method
+    yield shutil, "rmtree"
+    yield builtins, "open"
+    yield time, "sleep"
+
+
+def _on_loop_thread() -> bool:
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def loop_thread_guard(monkeypatch):
+    """Fail the test if blocking I/O ran on a thread driving an event loop."""
+    hits: list[str] = []
+
+    def guard(fn, label):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            if _on_loop_thread():
+                stack = traceback.format_stack(sys._getframe(1), limit=8)
+                hits.append(f"{label}()\n" + "".join(stack))
+            return fn(*args, **kwargs)
+
+        return guarded
+
+    for owner, attr in _blocking_sites():
+        label = f"{getattr(owner, '__name__', owner)}.{attr}"
+        monkeypatch.setattr(owner, attr, guard(getattr(owner, attr), label))
+    yield
+    if hits:
+        pytest.fail(
+            f"{len(hits)} blocking call(s) on the event-loop thread; run them "
+            "through Scheduler.call. First:\n" + hits[0]
+        )
 
 
 class ServeHandle:
