@@ -34,13 +34,9 @@ def record_result():
     Every result lands twice: the human table at ``results/<name>.txt`` and
     a machine-readable ``results/BENCH_<name>.json`` (pass ``data=`` for
     structured rows; without it the JSON still records the rendered text, so
-    every benchmark is diffable by tooling).  Under ``REPRO_PROFILE=1`` the
-    JSON additionally carries the observability profile — per-span duration
-    histograms and the metrics-registry snapshot accumulated so far.
+    every benchmark is diffable by tooling).
     """
     import json
-
-    from repro.obs import profile_payload, profiling_enabled
 
     def write(name: str, text: str, data=None) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
@@ -49,8 +45,6 @@ def record_result():
         payload = {"benchmark": name, "text": text}
         if data is not None:
             payload["data"] = data
-        if profiling_enabled():
-            payload["profile"] = profile_payload()
         (RESULTS_DIR / f"BENCH_{name}.json").write_text(
             json.dumps(payload, indent=2) + "\n"
         )

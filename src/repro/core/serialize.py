@@ -1,48 +1,20 @@
-"""JSON-friendly serialization of plans, APGs and diagnosis reports.
+"""JSON-friendly serialization of APGs and diagnosis reports.
 
 DIADS is a tool in a management pipeline: diagnoses get attached to problem
 tickets, APGs get displayed by other frontends.  Everything here produces
-plain dict/list/scalar structures (``json.dumps``-able) and, for plans, can
-round-trip back.
+plain dict/list/scalar structures (``json.dumps``-able).  Plans and the
+other round-tripping state live in :mod:`repro.storage.serializers`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..storage.serializers import (  # noqa: F401  (re-exported)
-    catalog_from_dict,
-    catalog_to_dict,
-    dbconfig_from_dict,
-    dbconfig_to_dict,
-    plan_from_dict,
-    plan_to_dict,
-    run_from_dict,
-    run_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-    testbed_from_dict,
-    testbed_to_dict,
-)
+from ..storage.serializers import plan_to_dict
 from .apg import AnnotatedPlanGraph
 from .workflow import DiagnosisReport
 
-__all__ = [
-    "plan_to_dict",
-    "plan_from_dict",
-    "run_to_dict",
-    "run_from_dict",
-    "catalog_to_dict",
-    "catalog_from_dict",
-    "dbconfig_to_dict",
-    "dbconfig_from_dict",
-    "spec_to_dict",
-    "spec_from_dict",
-    "testbed_to_dict",
-    "testbed_from_dict",
-    "apg_to_dict",
-    "report_to_dict",
-]
+__all__ = ["apg_to_dict", "report_to_dict"]
 
 
 def apg_to_dict(apg: AnnotatedPlanGraph, include_annotations: bool = False) -> dict[str, Any]:

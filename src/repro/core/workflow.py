@@ -30,7 +30,6 @@ from .pipeline import (
     RankedCause,
     default_pipeline,
     diagnosable_queries,
-    rank_causes,
 )
 from .registry import DiagnosisModule, ModuleRegistry
 from .symptoms import SymptomsDatabase
@@ -42,9 +41,6 @@ __all__ = ["RankedCause", "DiagnosisReport", "Diads", "InteractiveSession", "MOD
 #: matches ``default_pipeline().order``, so importing :mod:`repro` stays
 #: free of module instantiation side effects.
 MODULE_ORDER = DEFAULT_MODULES
-
-_rank = rank_causes  # back-compat alias (pre-engine name)
-
 
 class Diads:
     """The integrated diagnosis tool over one monitoring bundle.

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import inspect
 import os
+import sys
 import threading
-import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -118,10 +118,17 @@ def disable() -> None:
 
 
 def _caller_location() -> str:
-    """First stack frame outside this module — where the violation happened."""
-    for frame in reversed(traceback.extract_stack()):
-        if not frame.filename.endswith("sanitize.py"):
-            return f"{frame.filename}:{frame.lineno}"
+    """First stack frame outside this module — where the violation happened.
+
+    Walks the raw frames: ``traceback.extract_stack()`` also reads every
+    frame's source line, too slow for a call on every tracked acquisition.
+    """
+    frame = sys._getframe(1)
+    while frame is not None:
+        filename = frame.f_code.co_filename
+        if not filename.endswith("sanitize.py"):
+            return f"{filename}:{frame.f_lineno}"
+        frame = frame.f_back
     return "<unknown>"
 
 

@@ -1,15 +1,15 @@
-"""repro.obs — self-observability: tracing, metrics, and profiling.
+"""repro.obs — self-observability: tracing and metrics.
 
 The system that diagnoses simulated storage fleets from low-level
 telemetry now collects its own: simulation-aware spans
-(:mod:`~repro.obs.trace`), a process-wide metrics registry
-(:mod:`~repro.obs.metrics`), and benchmark profiling hooks
-(:mod:`~repro.obs.profile`), all journalled as **sidecar** data that the
-checkpoint/resume path never reads.
+(:mod:`~repro.obs.trace`) and a process-wide metrics registry
+(:mod:`~repro.obs.metrics`), both journalled as **sidecar** data that the
+checkpoint/resume path never reads; :mod:`~repro.obs.export` is the one
+place spans are aggregated.
 
 Off by default and zero-cost when off: every helper checks
 :func:`is_enabled` and returns a shared no-op.  Turn it on with
-``repro watch --stats``, ``REPRO_OBS=1``, or ``REPRO_PROFILE=1``.
+``repro watch --stats`` or ``REPRO_OBS=1``.
 
 Instrumenting code::
 
@@ -23,7 +23,7 @@ Wall-clock reads live *only* in :mod:`repro.obs.clock`; the
 ``obs-discipline`` lint checker rejects them anywhere else.
 """
 
-from . import clock, export, metrics, profile, prometheus, trace, worker
+from . import clock, export, metrics, prometheus, trace, worker
 from .clock import disable, enable, is_enabled, wall_clock
 from .export import (
     OBS_DIR,
@@ -43,7 +43,6 @@ from .metrics import (
     set_gauge,
     timed,
 )
-from .profile import profile_payload, profiling_enabled
 from .prometheus import render_prometheus
 from .trace import Span, Tracer, current_span, span, tracer, wrap_task
 from .worker import context_payload, worker_span
@@ -52,7 +51,6 @@ __all__ = [
     "clock",
     "trace",
     "metrics",
-    "profile",
     "prometheus",
     "worker",
     "export",
@@ -77,8 +75,6 @@ __all__ = [
     "add_gauge",
     "observe",
     "timed",
-    "profile_payload",
-    "profiling_enabled",
     "OBS_DIR",
     "load_spans",
     "load_metric_snapshots",

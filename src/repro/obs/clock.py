@@ -15,8 +15,7 @@ The master switch lives here too (the lowest layer of ``repro.obs``, so
 without cycles): observability is **off by default** and zero-cost when
 off — every public helper checks :func:`is_enabled` first and returns a
 shared no-op.  Turn it on per process with :func:`enable` (what ``repro
-watch --stats`` does), or per environment with ``REPRO_OBS=1`` /
-``REPRO_PROFILE=1``.
+watch --stats`` does), or per environment with ``REPRO_OBS=1``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import time
 __all__ = ["wall_clock", "is_enabled", "enable", "disable", "reset"]
 
 _ENV_FLAG = "REPRO_OBS"
-_PROFILE_FLAG = "REPRO_PROFILE"
 
 _forced: bool | None = None
 
@@ -46,14 +44,11 @@ def is_enabled() -> bool:
     """True when tracing + metrics are collecting.
 
     Forced state (:func:`enable`/:func:`disable`) wins; otherwise the
-    ``REPRO_OBS`` or ``REPRO_PROFILE`` environment variables opt in.
+    ``REPRO_OBS`` environment variable opts in.
     """
     if _forced is not None:
         return _forced
-    return (
-        os.environ.get(_ENV_FLAG, "") not in ("", "0", "false")
-        or os.environ.get(_PROFILE_FLAG, "") not in ("", "0", "false")
-    )
+    return os.environ.get(_ENV_FLAG, "") not in ("", "0", "false")
 
 
 def enable() -> None:

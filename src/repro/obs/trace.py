@@ -35,7 +35,6 @@ Usage::
 from __future__ import annotations
 
 import itertools
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Iterator
@@ -58,9 +57,6 @@ _current: ContextVar["Span | None"] = ContextVar("repro_obs_span", default=None)
 #: Process-wide span id source.  Deterministic (a counter, never wall time
 #: or randomness) so trace journals are stable artifacts of execution order.
 _ids = itertools.count(1)
-
-#: Reservoir size per span name for duration percentiles (profiling).
-_RESERVOIR = 512
 
 
 class _NoopSpan:
@@ -171,61 +167,15 @@ class Span:
         return record
 
 
-class _Agg:
-    """Per-name duration aggregate feeding ``REPRO_PROFILE`` histograms."""
-
-    __slots__ = ("count", "total_s", "max_s", "recent")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-        self.recent: list[float] = []
-
-    def note(self, dur: float) -> None:
-        self.count += 1
-        self.total_s += dur
-        if dur > self.max_s:
-            self.max_s = dur
-        if len(self.recent) >= _RESERVOIR:
-            # Keep a sliding window of the most recent durations; enough
-            # for p50/p95 without unbounded memory on long watches.
-            self.recent.pop(0)
-        self.recent.append(dur)
-
-    def summary(self) -> dict:
-        ordered = sorted(self.recent)
-
-        def pct(q: float) -> float:
-            if not ordered:
-                return 0.0
-            return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-        return {
-            "count": self.count,
-            "total_s": self.total_s,
-            "mean_ms": (self.total_s / self.count * 1000.0) if self.count else 0.0,
-            "p50_ms": pct(0.50) * 1000.0,
-            "p95_ms": pct(0.95) * 1000.0,
-            "max_ms": self.max_s * 1000.0,
-        }
-
-
 class Tracer:
-    """Process-wide span factory, aggregator, and journal writer.
+    """Process-wide span factory and journal writer.
 
-    Finished spans are (a) folded into per-name duration aggregates (what
-    ``REPRO_PROFILE=1`` attaches to benchmark JSON) and (b) appended to the
-    attached sink's ``traces`` keyspace, if any.  Both under one lock, per
-    the ``# guarded-by`` discipline.
+    Finished spans append to the attached sink's ``traces`` keyspace, if
+    any; the tracer keeps nothing in memory.  Aggregation is
+    :mod:`repro.obs.export`'s job, over the journal.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # guarded-by: _lock
-        self._agg: dict[str, _Agg] = {}
-        # guarded-by: _lock
-        self._finished = 0
         self._sink: Any | None = None
         self._keyspace: str | None = None
 
@@ -235,34 +185,18 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         sink = self._sink
-        with self._lock:
-            agg = self._agg.get(span.name)
-            if agg is None:
-                agg = self._agg.setdefault(span.name, _Agg())
-            agg.note(span.wall_dur)
-            self._finished += 1
         if sink is not None:
             sink.append(self._keyspace, span.to_record())
 
     def ingest(self, records: list[dict]) -> None:
-        """Merge already-finished span records (worker-process buffers).
+        """Journal already-finished span records (worker-process buffers).
 
         The cross-process half of tracing: spans opened in pool workers come
         back as journal-form records (pid-scoped ids, parent rebased wall
-        starts) and enter the same aggregate fold and sidecar keyspace as
-        locally finished spans — one coherent trace across backends.
+        starts) and enter the same sidecar keyspace as locally finished
+        spans — one coherent trace across backends.
         """
-        if not records:
-            return
         sink = self._sink
-        with self._lock:
-            for record in records:
-                name = str(record.get("name", "?"))
-                agg = self._agg.get(name)
-                if agg is None:
-                    agg = self._agg.setdefault(name, _Agg())
-                agg.note(float(record.get("wall_dur", 0.0)))
-                self._finished += 1
         if sink is not None:
             for record in records:
                 sink.append(self._keyspace, record)
@@ -284,24 +218,6 @@ class Tracer:
     @property
     def sink(self) -> Any | None:
         return self._sink
-
-    # -- inspection -------------------------------------------------------
-    def finished(self) -> int:
-        with self._lock:
-            return self._finished
-
-    def aggregate(self) -> dict[str, dict]:
-        """Per-name duration summaries (count, total, p50/p95/max)."""
-        with self._lock:
-            return {name: agg.summary() for name, agg in sorted(self._agg.items())}
-
-    def reset(self) -> None:
-        """Drop aggregates and detach the sink (tests)."""
-        with self._lock:
-            self._agg = {}
-            self._finished = 0
-        self._sink = None
-        self._keyspace = None
 
 
 _tracer = Tracer()

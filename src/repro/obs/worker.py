@@ -51,7 +51,6 @@ __all__ = [
     "worker_span",
     "drain",
     "flush_task",
-    "ping",
     "ingest",
     "reset",
 ]
@@ -266,21 +265,6 @@ def flush_task(payload: dict) -> dict:
     parent sidecar.  Returns the drain payload directly — or ``{}``.
     """
     return drain(include_metrics=True) or {}
-
-
-def ping(payload: dict) -> dict:
-    """Procpool task: a calibrated no-op for envelope-overhead benchmarks.
-
-    Burns ``payload["spin"]`` trivial iterations inside a worker span, so an
-    obs-on/obs-off A/B over this task prices exactly the distributed-tracing
-    envelope (context out, span buffer + metrics dump back).
-    """
-    n = int(payload.get("spin", 0))
-    with worker_span("worker.ping", spin=n):
-        acc = 0
-        for i in range(n):
-            acc += i & 7
-    return {"ok": True, "acc": acc}
 
 
 # -- parent side: inbound merge ----------------------------------------------

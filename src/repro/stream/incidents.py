@@ -359,10 +359,6 @@ class IncidentManager:
         self.suppressed = state.get("suppressed", 0)
         self._counter = state.get("counter", len(self.incidents))
 
-    #: Pre-0.6 name for :meth:`load_state`, kept for subclassers; the
-    #: canonical pair is ``state_dict``/``load_state`` (lint-enforced).
-    restore = load_state
-
     def open_incidents(self) -> list[Incident]:
         return [i for i in self.incidents if i.state is IncidentState.OPEN]
 

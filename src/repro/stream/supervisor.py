@@ -565,8 +565,8 @@ class FleetSupervisor:
         )
         self.correlator.attach_report(group.fleet_id, diagnosis.to_report_data())
 
-    def _final_correlation_sweep(
-        self, fleet: list[WatchedEnvironment], on_event
+    async def _final_correlation_sweep(
+        self, scheduler: Scheduler, fleet: list[WatchedEnvironment], on_event
     ) -> None:
         """Short-circuit sweep once the fleet is quiescent.
 
@@ -577,7 +577,9 @@ class FleetSupervisor:
         grouping is decided, so one sweep resolves whatever a fleet report
         covers (at the group's deterministic open time), drains the
         engine's buffered resolutions, and refreshes the affected members'
-        checkpoint snapshots.
+        checkpoint snapshots.  Its drill-downs run on the worker pool, in
+        order, like :meth:`_drive`'s: the coordination loop may be shared
+        by other tenants.
 
         Skipped after an early :meth:`stop`: the fleet floor is then NOT
         final — draining the engine past it would consume fast members'
@@ -597,7 +599,8 @@ class FleetSupervisor:
                     self._env_snapshots[watched.name] = self._snapshot_env(watched)
             # Resolutions fed above sit at or below the final watermark;
             # drain them so fleet incidents complete their own lifecycle.
-            self._drill_down(self.correlator.finalize())
+            for group in self.correlator.finalize():
+                await scheduler.call(self._on_fleet_incident, group)
 
     def _apply_fleet_short_circuit(
         self, watched: WatchedEnvironment, on_event=None
@@ -843,7 +846,6 @@ class FleetSupervisor:
     def run(
         self,
         duration_s: float,
-        on_tick: Callable[[list[Incident], float], None] | None = None,
         *,
         on_event: Callable[[FleetEvent], None] | None = None,
     ) -> list[Incident]:
@@ -859,10 +861,6 @@ class FleetSupervisor:
 
         ``on_event(event)`` receives the live fleet event stream (see
         :data:`FleetEvent`) — what ``repro watch`` renders from.
-        ``on_tick(resolved, elapsed)`` is retained for pre-runtime callers:
-        it fires after every environment iteration with the incidents that
-        iteration resolved and the fleet's guaranteed covered duration for
-        this call (no longer a global tick boundary).
 
         :meth:`stop` (any thread) ends the run early at the next iteration
         boundaries; state stays checkpointed and resumable.
@@ -873,9 +871,7 @@ class FleetSupervisor:
             return self.incidents()
         scheduler = Scheduler(pool=self._pool())
         return scheduler.run(
-            self.run_async(
-                duration_s, scheduler=scheduler, on_tick=on_tick, on_event=on_event
-            )
+            self.run_async(duration_s, scheduler=scheduler, on_event=on_event)
         )
 
     async def run_async(
@@ -883,7 +879,6 @@ class FleetSupervisor:
         duration_s: float,
         *,
         scheduler: Scheduler,
-        on_tick: Callable[[list[Incident], float], None] | None = None,
         on_event: Callable[[FleetEvent], None] | None = None,
     ) -> list[Incident]:
         """Coroutine form of :meth:`run` for callers that own the loop.
@@ -900,10 +895,9 @@ class FleetSupervisor:
             return self.incidents()
         fleet = list(self.watched.values())
         target_s = self.advanced_s + duration_s
-        started_s = self.advanced_s
         self._stop_requested.clear()
         self._attach_obs()
-        await self._run_async(scheduler, fleet, target_s, started_s, on_tick, on_event)
+        await self._run_async(scheduler, fleet, target_s, on_event)
         return self.incidents()
 
     def stop(self) -> None:
@@ -919,8 +913,6 @@ class FleetSupervisor:
         scheduler: Scheduler,
         fleet: list[WatchedEnvironment],
         target_s: float,
-        started_s: float,
-        on_tick,
         on_event,
     ) -> None:
         advance_gate = asyncio.Semaphore(self._workers(len(fleet)))
@@ -948,10 +940,8 @@ class FleetSupervisor:
                         scheduler,
                         watched,
                         target_s,
-                        started_s,
                         advance_gate,
                         diagnosis_gate,
-                        on_tick,
                         on_event,
                     ),
                     name=f"drive-{watched.name}",
@@ -971,7 +961,7 @@ class FleetSupervisor:
                     failures.append(exc)
             if failures:
                 raise failures[0]
-            self._final_correlation_sweep(fleet, on_event)
+            await self._final_correlation_sweep(scheduler, fleet, on_event)
         finally:
             if flusher is not None:
                 flusher.cancel()
@@ -995,10 +985,8 @@ class FleetSupervisor:
         scheduler: Scheduler,
         watched: WatchedEnvironment,
         target_s: float,
-        started_s: float,
         advance_gate: asyncio.Semaphore,
         diagnosis_gate: asyncio.Semaphore | None,
-        on_tick,
         on_event,
     ) -> None:
         """One environment's supervision loop: its own clock, no barrier."""
@@ -1131,7 +1119,6 @@ class FleetSupervisor:
                             watched
                         )
                         self._checkpoint_dirty = True
-                fleet_floor = self.advanced_s  # one O(fleet) scan/iteration
                 with span("emit"):
                     self._emit(
                         on_event,
@@ -1140,13 +1127,11 @@ class FleetSupervisor:
                             "env": watched.name,
                             "clock": watched.env.clock,
                             "advanced_s": watched.advanced_s,
-                            "fleet_advanced_s": fleet_floor,
+                            "fleet_advanced_s": self.advanced_s,
                             "detections": len(detections),
                             "resolved": len(resolved),
                         },
                     )
-                    if on_tick is not None:
-                        on_tick(resolved, fleet_floor - started_s)
                 obs_metrics.inc("supervisor.iterations")
                 if resolved:
                     obs_metrics.inc("incidents.resolved", len(resolved))

@@ -7,14 +7,10 @@ import json
 import pytest
 
 from repro.core.apg import build_apg
-from repro.core.serialize import (
-    apg_to_dict,
-    plan_from_dict,
-    plan_to_dict,
-    report_to_dict,
-)
+from repro.core.serialize import apg_to_dict, report_to_dict
 from repro.core.workflow import Diads
 from repro.db.plans import canonical_q2_plan
+from repro.storage.serializers import plan_from_dict, plan_to_dict
 
 
 class TestPlanRoundTrip:

@@ -12,11 +12,13 @@ The ISSUE-5 acceptance criteria:
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
 from repro.correlate import (
+    CorrelationEngine,
     FleetIncidentState,
     FleetIncidentStore,
     fabric_coincidental_independent_faults,
@@ -199,6 +201,54 @@ class TestOutOfProcessTailing:
         assert without_reports(tailer.to_dict()) == without_reports(
             engine.to_dict()
         )
+
+
+class _DeferringEngine(CorrelationEngine):
+    """Holds every ready group back until :meth:`finalize`, so each
+    drill-down comes from the supervisor's final sweep — as for a group
+    that the last watermark advance decides."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.held: list = []
+
+    def observe(self, event: dict) -> list:
+        self.held.extend(super().observe(event))
+        return []
+
+    def finalize(self) -> list:
+        held, self.held = self.held, []
+        return held + super().finalize()
+
+
+class TestFinalSweep:
+    def test_drill_downs_run_off_the_event_loop(self, monkeypatch):
+        """The quiesce sweep sends its drill-downs through the worker pool,
+        like the per-iteration path: under ``repro serve`` the loop is
+        shared by every tenant and SSE client."""
+        calls: list[tuple[str, bool]] = []
+        drill_down = FleetSupervisor._on_fleet_incident
+
+        def recording(self, group):
+            try:
+                asyncio.get_running_loop()
+                on_loop = True
+            except RuntimeError:
+                on_loop = False
+            calls.append((group.fleet_id, on_loop))
+            drill_down(self, group)
+
+        monkeypatch.setattr(FleetSupervisor, "_on_fleet_incident", recording)
+        fabric = fabric_shared_pool_saturation(hours=HOURS, n_envs=4, attached=3)
+        engine = _DeferringEngine(fabric.membership())
+        supervisor = FleetSupervisor(correlator=engine, cooldown_s=HOURS * 3600.0)
+        fabric.watch_all(supervisor)
+        supervisor.run(HOURS * 3600.0)
+
+        assert calls, "the sweep drilled nothing down"
+        assert not [fleet_id for fleet_id, on_loop in calls if on_loop]
+        group = engine.fleet_incidents()[0]
+        assert group.top_cause_id == "shared-component:P1"
 
 
 class TestResumeParity:

@@ -14,16 +14,16 @@ def obs_enabled():
     """Observability on, with clean tracer/registry state before and after.
 
     The tracer and metrics registry are process-wide singletons; tests must
-    not leak aggregates, sinks, or the forced-on flag into each other (or
+    not leak sinks, metrics, or the forced-on flag into each other (or
     into the rest of the suite, which assumes observability is off).
     """
     obs_clock.enable()
-    obs_trace.tracer().reset()
+    obs_trace.tracer().set_sink(None)
     obs_metrics.registry().reset()
     try:
         yield
     finally:
-        obs_trace.tracer().reset()
+        obs_trace.tracer().set_sink(None)
         obs_metrics.registry().reset()
         obs_clock.reset()
 

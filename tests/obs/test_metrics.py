@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile_payload
-from repro.obs import span
 from repro.storage import keyspaces
 from repro.storage.backend import MemoryBackend
 
@@ -85,11 +83,3 @@ class TestSnapshots:
         assert [r["t"] for r in records] == [1800.0, 3600.0]
         assert records[0]["metrics"]["counters"]["fires"] == 3
         assert records[1]["metrics"]["counters"]["fires"] == 4
-
-    def test_profile_payload_combines_spans_and_metrics(self, obs_enabled):
-        with span("advance"):
-            obs_metrics.inc("fires")
-        payload = profile_payload()
-        assert payload["enabled"] is True
-        assert payload["spans"]["advance"]["count"] == 1
-        assert payload["metrics"]["counters"]["fires"] == 1

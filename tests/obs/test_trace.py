@@ -91,14 +91,6 @@ class TestJournalling:
             pass
         assert [r["name"] for r in sink.scan(keyspaces.TRACES)] == ["one"]
 
-    def test_aggregates_fold_without_sink(self, obs_enabled):
-        for _ in range(3):
-            with span("advance"):
-                pass
-        agg = obs_trace.tracer().aggregate()
-        assert agg["advance"]["count"] == 3
-        assert agg["advance"]["total_s"] >= 0.0
-
 
 class TestThreadHop:
     def test_wrap_task_carries_span_across_pool_submit(self, obs_enabled):

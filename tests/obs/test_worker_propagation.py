@@ -17,6 +17,20 @@ from repro.obs import worker as obs_worker
 from repro.storage import MemoryBackend
 
 
+#: Procpool task name of :func:`ping`; the forked workers inherit this module.
+PING_TASK = f"{__name__}:ping"
+
+
+def ping(payload: dict) -> dict:
+    """Procpool task: burn ``payload["spin"]`` iterations inside a worker span."""
+    n = int(payload.get("spin", 0))
+    with obs_worker.worker_span("worker.ping", spin=n):
+        acc = 0
+        for i in range(n):
+            acc += i & 7
+    return {"ok": True, "acc": acc}
+
+
 @pytest.fixture(autouse=True)
 def _clean_worker_state():
     obs_worker.reset()
@@ -142,9 +156,7 @@ class TestProcessPoolSeam:
         pool = pool_mod.ProcessWorkerPool(processes=1)
         try:
             with obs_trace.span("iteration", env="e1", sim_t=42.0) as parent:
-                out = pool.run_task(
-                    "repro.obs.worker:ping", {"spin": 100}, affinity="e1"
-                )
+                out = pool.run_task(PING_TASK, {"spin": 100}, affinity="e1")
             assert out["ok"] is True
             pool.collect_obs()
         finally:
@@ -185,7 +197,7 @@ class TestProcessPoolSeam:
         pool_mod = pytest.importorskip("repro.runtime.procpool")
         pool = pool_mod.ProcessWorkerPool(processes=1)
         try:
-            out = pool.run_task("repro.obs.worker:ping", {"spin": 10})
+            out = pool.run_task(PING_TASK, {"spin": 10})
             # No envelope when obs is off: the result arrives verbatim,
             # so obs-off wire bytes (and checkpoints) are unchanged.
             assert out == {"ok": True, "acc": out["acc"]}

@@ -89,14 +89,3 @@ def test_testbed_round_trip():
     assert restored.volume_ids == testbed.volume_ids
     assert restored.topology.snapshot() == testbed.topology.snapshot()
     assert restored.access.snapshot() == testbed.access.snapshot()
-
-
-def test_core_serialize_reexports():
-    """Back-compat: the historical import site still offers the names."""
-    from repro.core import serialize
-
-    assert serialize.plan_to_dict is not None
-    assert serialize.run_to_dict is serialize.run_to_dict
-    for name in ("plan_from_dict", "run_from_dict", "catalog_to_dict",
-                 "testbed_from_dict", "spec_to_dict", "dbconfig_from_dict"):
-        assert hasattr(serialize, name)

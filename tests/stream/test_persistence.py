@@ -201,7 +201,7 @@ class TestManagerStateRoundTrip:
 
         state = json.loads(json.dumps(manager.state_dict()))
         twin = IncidentManager("env", cooldown_s=600.0)
-        twin.restore(state)
+        twin.load_state(state)
 
         assert [i.to_dict() for i in twin.incidents] == [
             i.to_dict() for i in manager.incidents
