@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.baselines import (
-    CorrelationOnlyDiagnoser,
-    DbOnlyDiagnoser,
-    SanOnlyDiagnoser,
-)
+from repro.core.baselines import baseline_findings
 from repro.core.workflow import Diads
 
 
@@ -23,9 +19,9 @@ def tool_outputs(scenario1_burst_bundle):
     bundle, query = scenario1_burst_bundle, scenario1_burst_bundle.query_name
     return {
         "DIADS": Diads.from_bundle(bundle).diagnose(query),
-        "san-only": SanOnlyDiagnoser().diagnose(bundle, query),
-        "db-only": DbOnlyDiagnoser().diagnose(bundle, query),
-        "correlation-only": CorrelationOnlyDiagnoser().diagnose(bundle, query),
+        "san-only": baseline_findings("san-only", bundle, query),
+        "db-only": baseline_findings("db-only", bundle, query),
+        "correlation-only": baseline_findings("correlation-only", bundle, query),
     }
 
 
@@ -70,16 +66,18 @@ def test_correlation_only_floods_across_components(tool_outputs):
 
 
 def test_bench_san_only(benchmark, scenario1_burst_bundle):
-    tool = SanOnlyDiagnoser()
     findings = benchmark(
-        lambda: tool.diagnose(scenario1_burst_bundle, scenario1_burst_bundle.query_name)
+        lambda: baseline_findings(
+            "san-only", scenario1_burst_bundle, scenario1_burst_bundle.query_name
+        )
     )
     assert findings
 
 
 def test_bench_correlation_only(benchmark, scenario1_burst_bundle):
-    tool = CorrelationOnlyDiagnoser()
     findings = benchmark(
-        lambda: tool.diagnose(scenario1_burst_bundle, scenario1_burst_bundle.query_name)
+        lambda: baseline_findings(
+            "correlation-only", scenario1_burst_bundle, scenario1_burst_bundle.query_name
+        )
     )
     assert findings

@@ -8,12 +8,7 @@ pure-correlation) each tell a misleading story.
 Run:  python examples/concurrent_problems.py
 """
 
-from repro.core import (
-    CorrelationOnlyDiagnoser,
-    DbOnlyDiagnoser,
-    Diads,
-    SanOnlyDiagnoser,
-)
+from repro.core import Diads, baseline_findings
 from repro.lab import scenario_concurrent_db_san
 
 
@@ -30,21 +25,21 @@ def main() -> None:
 
     print()
     print("=== SAN-only tool ===")
-    for finding in SanOnlyDiagnoser().diagnose(bundle, query):
+    for finding in baseline_findings("san-only", bundle, query):
         print(f"  - {finding.describe()}")
     print("  (volume-level contention found, but the concurrent data-property")
     print("   change is invisible to a storage tool)")
 
     print()
     print("=== DB-only tool ===")
-    for finding in DbOnlyDiagnoser().diagnose(bundle, query):
+    for finding in baseline_findings("db-only", bundle, query):
         print(f"  - {finding.describe()}")
     print("  (operators pinpointed, but the SAN misconfiguration cannot be")
     print("   seen; the usual database suspects are raised instead)")
 
     print()
     print("=== Pure-correlation tool (no domain knowledge) ===")
-    for finding in CorrelationOnlyDiagnoser().diagnose(bundle, query):
+    for finding in baseline_findings("correlation-only", bundle, query):
         print(f"  - {finding.describe()}")
     print("  (event flooding: every co-moving metric looks like a cause)")
 

@@ -5,7 +5,9 @@ An integrated database + SAN diagnosis library.  The package is organised as:
 * :mod:`repro.stats` — KDE anomaly scoring and baseline detectors,
 * :mod:`repro.san` — SAN simulator (topology, zoning, I/O contention),
 * :mod:`repro.db` — database simulator (catalog, optimizer, executor),
-* :mod:`repro.monitor` — noisy sampled monitoring stores,
+* :mod:`repro.monitor` — noisy sampled monitoring stores, bundled as
+  ``MonitoringStores`` (in memory, or ``MonitoringStores.open(state_dir)``
+  over a durable backend),
 * :mod:`repro.lab` — environment, workloads, fault injection, scenarios,
 * :mod:`repro.core` — the paper's contribution: APGs and the DIADS workflow,
   built on a pluggable pipeline engine (registry + DAG scheduling),
@@ -16,11 +18,10 @@ An integrated database + SAN diagnosis library.  The package is organised as:
   fleet supervisor that closes the detect→diagnose loop with no human
   marking (each environment advances on its own clock; slow diagnoses
   overlap the rest of the fleet),
-* :mod:`repro.storage` — the unified telemetry-store API: one pluggable
-  backend protocol (memory + crash-safe JSONL + indexed sqlite) under every
-  store, the ``TelemetryStore`` facade, and lossless serializers for
-  persistence (``DiagnosisBundle.save()/load()``, ``repro watch
-  --state-dir`` resume).
+* :mod:`repro.storage` — one pluggable backend protocol (memory +
+  crash-safe JSONL + indexed sqlite) under every store, and lossless
+  serializers for persistence (``DiagnosisBundle.save()/load()``,
+  ``repro watch --state-dir`` resume).
 
 Quickstart::
 
@@ -110,12 +111,12 @@ from .correlate import (
     fabric_shared_switch_degradation,
 )
 from .runtime import ClockVector, Scheduler, TaskQueue, WorkerPool, shared_pool
+from .monitor import MonitoringStores
 from .storage import (
     JsonlBackend,
     MemoryBackend,
     SqliteBackend,
     StorageBackend,
-    TelemetryStore,
 )
 from . import obs
 
@@ -181,7 +182,7 @@ __all__ = [
     "MemoryBackend",
     "JsonlBackend",
     "SqliteBackend",
-    "TelemetryStore",
+    "MonitoringStores",
     "WorkerPool",
     "shared_pool",
     "Scheduler",

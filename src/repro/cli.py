@@ -684,7 +684,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         from .obs import metrics as obs_metrics
 
         pool = supervisor.pool_stats()
-        snap = obs_metrics.registry().snapshot()
+        snap = obs_metrics.json_view(obs_metrics.registry().snapshot())
         counters, gauges = snap["counters"], snap["gauges"]
         latency = snap["histograms"].get("scheduler.task_latency_s")
         p95 = f"{latency['p95_ms']:.0f}ms" if latency else "-"
@@ -799,7 +799,9 @@ def cmd_watch(args: argparse.Namespace) -> int:
             from .obs import metrics as obs_metrics
 
             payload["pool"] = supervisor.pool_stats()
-            payload["metrics"] = obs_metrics.registry().snapshot()
+            payload["metrics"] = obs_metrics.json_view(
+                obs_metrics.registry().snapshot()
+            )
         print(json.dumps(payload, indent=2))
     else:
         if not sys.stdout.isatty():

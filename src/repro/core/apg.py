@@ -24,6 +24,7 @@ from ..db.catalog import Catalog
 from ..db.executor import QueryRun
 from ..db.plans import PlanOperator
 from ..lab.environment import DiagnosisBundle
+from ..monitor.timeseries import MetricStore
 from ..san.topology import SanTopology
 from .dependency import DependencyPaths, compute_dependency_paths
 
@@ -72,7 +73,7 @@ class AnnotatedPlanGraph:
     topology: SanTopology
     server_id: str
     runs: list[QueryRun]
-    metric_store: "MetricStoreLike"
+    metric_store: MetricStore
     dependency: dict[str, DependencyPaths] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -171,11 +172,6 @@ class AnnotatedPlanGraph:
             for op_id, t in run.operator_times().items():
                 target.setdefault(op_id, []).append(t)
         return sat, unsat
-
-
-class MetricStoreLike:  # pragma: no cover - typing aid only
-    def window_mean(self, component_id: str, metric: str, start: float, end: float):
-        raise NotImplementedError
 
 
 def build_apg(

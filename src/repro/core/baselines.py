@@ -12,10 +12,10 @@ event flooding.
 
 Each baseline is expressed as an alternate *pipeline configuration*: a
 single registered :class:`DiagnosisModule` wrapped by
-:func:`baseline_pipeline`.  The classic ``SanOnlyDiagnoser``-style classes
-remain as thin facades over those one-module pipelines, so the baselines
-run on the same engine as the integrated workflow (and can be mixed into
-custom pipelines for side-by-side comparisons).
+:func:`baseline_pipeline`, so the baselines run on the same engine as the
+integrated workflow (and can be mixed into custom pipelines for
+side-by-side comparisons).  :func:`baseline_findings` runs one and returns
+what the silo tool reports.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ __all__ = [
     "DbOnlyModule",
     "CorrelationOnlyModule",
     "baseline_pipeline",
-    "SanOnlyDiagnoser",
-    "DbOnlyDiagnoser",
-    "CorrelationOnlyDiagnoser",
+    "baseline_findings",
 ]
 
 
@@ -73,15 +71,6 @@ def _labelled_runs(bundle: DiagnosisBundle, query_name: str):
     sat = [r for r in runs if r.satisfactory is True]
     unsat = [r for r in runs if r.satisfactory is False]
     return sat, unsat
-
-
-def _window_values(store, component_id, metric, runs):
-    values = []
-    for run in runs:
-        mean = store.window_mean(component_id, metric, run.start_time, run.end_time)
-        if mean is not None:
-            values.append(mean)
-    return values
 
 
 @register_module
@@ -123,7 +112,7 @@ class SanOnlyModule:
                     best_metric, best_score = metric, score
             if best_score >= self.threshold:
                 io_weight = float(
-                    np.mean(_window_values(store, vid, "totalIOs", sat + unsat) or [0.0])
+                    np.mean(store.run_window_means(vid, "totalIOs", sat + unsat) or [0.0])
                 )
                 findings.append(
                     BaselineFinding(
@@ -137,7 +126,8 @@ class SanOnlyModule:
         def io_of(f: BaselineFinding) -> float:
             return float(
                 np.mean(
-                    _window_values(store, f.target, "totalIOs", sat + unsat) or [0.0]
+                    store.run_window_means(f.target, "totalIOs", sat + unsat)
+                    or [0.0]
                 )
             )
 
@@ -202,8 +192,8 @@ class DbOnlyModule:
 
         # database-internal hypotheses — emitted with no way to verify them
         def db_score(metric: str) -> float:
-            s = _window_values(store, "db", metric, sat)
-            u = _window_values(store, "db", metric, unsat)
+            s = store.run_window_means("db", metric, sat)
+            u = store.run_window_means("db", metric, unsat)
             if len(s) < 2 or not u:
                 return 0.0
             return kde_anomaly(s, u)
@@ -255,7 +245,7 @@ def _correlation_findings(
     durations = [r.duration for r in runs]
     findings: list[BaselineFinding] = []
     for component_id, metric in store.keys():
-        values = _window_values(store, component_id, metric, runs)
+        values = store.run_window_means(component_id, metric, runs)
         if len(values) != len(runs):
             continue
         coeff = pearson(values, durations)
@@ -323,58 +313,24 @@ def baseline_pipeline(kind: str, **kwargs) -> DiagnosisPipeline:
     return DiagnosisPipeline([factory(**kwargs)])
 
 
-class _BaselineFacade:
-    """Shared ``diagnose()`` entry point of the classic baseline classes."""
+def baseline_findings(
+    kind: str, bundle: DiagnosisBundle, query_name: str, **module_kwargs
+) -> list[BaselineFinding]:
+    """What the ``kind`` silo tool reports for ``query_name``.
 
-    kind: str
-
-    def _module_kwargs(self) -> dict:
-        raise NotImplementedError
-
-    def diagnose(self, bundle: DiagnosisBundle, query_name: str) -> list[BaselineFinding]:
-        sat, unsat = _labelled_runs(bundle, query_name)
-        if not sat or not unsat:
-            return []
-        pipeline = baseline_pipeline(self.kind, **self._module_kwargs())
+    Runs :func:`baseline_pipeline` and returns its module's findings.  A
+    pipeline needs both satisfactory and unsatisfactory runs; without them
+    the SAN- and DB-only tools report nothing, while pure correlation
+    (which needs only >= 3 labelled runs) computes its findings directly.
+    """
+    pipeline = baseline_pipeline(kind, **module_kwargs)
+    sat, unsat = _labelled_runs(bundle, query_name)
+    if sat and unsat:
         report = pipeline.diagnose(bundle, query_name)
-        result: BaselineResult = report.context.result(pipeline.order[0])
-        return result.findings
-
-
-@dataclass
-class SanOnlyDiagnoser(_BaselineFacade):
-    threshold: float = 0.8
-    kind = "san-only"
-
-    def _module_kwargs(self) -> dict:
-        return {"threshold": self.threshold}
-
-
-@dataclass
-class DbOnlyDiagnoser(_BaselineFacade):
-    threshold: float = 0.8
-    kind = "db-only"
-
-    def _module_kwargs(self) -> dict:
-        return {"threshold": self.threshold}
-
-
-@dataclass
-class CorrelationOnlyDiagnoser(_BaselineFacade):
-    top_k: int = 10
-    min_correlation: float = 0.6
-    kind = "correlation-only"
-
-    def _module_kwargs(self) -> dict:
-        return {"top_k": self.top_k, "min_correlation": self.min_correlation}
-
-    def diagnose(self, bundle: DiagnosisBundle, query_name: str) -> list[BaselineFinding]:
-        sat, unsat = _labelled_runs(bundle, query_name)
-        if sat and unsat:
-            return super().diagnose(bundle, query_name)
-        # Pure correlation needs only >= 3 labelled runs, not both labels —
-        # a diagnosis context (and hence the pipeline) is unusable here, so
-        # fall through to the module's computation directly.
+        return report.context.result(pipeline.order[0]).findings
+    if kind == "correlation-only":
+        module = pipeline.module(pipeline.order[0])
         return _correlation_findings(
-            bundle, query_name, self.top_k, self.min_correlation
+            bundle, query_name, module.top_k, module.min_correlation
         )
+    return []

@@ -126,11 +126,11 @@ class DependencyAnalysisModule:
             for metric in self._metrics_for(ctx, component_id):
                 if component_id == "db":
                     # db metrics only exist around runs; score per-run windows
-                    sat_vals = self._window_values(
-                        metrics_store, component_id, metric, sat_runs
+                    sat_vals = metrics_store.run_window_means(
+                        component_id, metric, sat_runs
                     )
-                    unsat_vals = self._window_values(
-                        metrics_store, component_id, metric, unsat_runs
+                    unsat_vals = metrics_store.run_window_means(
+                        component_id, metric, unsat_runs
                     )
                 else:
                     sat_vals = metrics_store.values_between(
@@ -142,8 +142,8 @@ class DependencyAnalysisModule:
                 if len(sat_vals) < 2 or not unsat_vals:
                     continue
                 score = kde_anomaly(sat_vals, unsat_vals)
-                all_vals = self._window_values(
-                    metrics_store, component_id, metric, labelled_runs
+                all_vals = metrics_store.run_window_means(
+                    component_id, metric, labelled_runs
                 )
                 best_corr, best_op = 0.0, None
                 if len(all_vals) == len(labelled_runs):
@@ -191,12 +191,3 @@ class DependencyAnalysisModule:
         except Exception:
             return []
         return COMPONENT_METRICS.get(ctype, [])
-
-    @staticmethod
-    def _window_values(store, component_id: str, metric: str, runs) -> list[float]:
-        values = []
-        for run in runs:
-            mean = store.window_mean(component_id, metric, run.start_time, run.end_time)
-            if mean is not None:
-                values.append(mean)
-        return values

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -39,7 +40,22 @@ from ..monitor.timeseries import MetricStore
 from ..san.builder import Testbed
 from ..san.events import SanEvent, SanEventKind
 from ..san.iomodel import IoSimulator, SanPerfSample, VolumeLoad
+from ..storage.backend import MemoryBackend, atomic_write_json
+from ..storage.jsonl import JsonlBackend
+from ..storage.serializers import (
+    catalog_from_dict,
+    catalog_to_dict,
+    dbconfig_from_dict,
+    dbconfig_to_dict,
+    spec_from_dict,
+    spec_to_dict,
+    testbed_from_dict,
+    testbed_to_dict,
+)
 from .workloads import ExternalWorkload, QueryJob
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..storage.backend import StorageBackend
 
 __all__ = ["Environment", "DiagnosisBundle"]
 
@@ -75,25 +91,11 @@ class DiagnosisBundle:
     def save(self, state_dir: str | os.PathLike, *, overwrite: bool = False) -> None:
         """Persist the whole bundle under ``state_dir``.
 
-        Monitoring telemetry (metrics, runs with labels, config snapshots,
-        events) is journalled into a :class:`~repro.storage.JsonlBackend`
-        under ``state_dir/telemetry``; the object graph (testbed, catalogs,
-        configs, query specs) goes into ``bundle.json`` via the lossless
-        serializers in :mod:`repro.storage.serializers`.  The manifest is
-        written atomically last, so a directory holding a ``bundle.json``
-        is always a complete, loadable bundle.
+        The :meth:`to_payload` telemetry records become JSONL segment files
+        under ``state_dir/telemetry``; the rest of the payload is written
+        atomically, last, as ``bundle.json`` — so a directory holding a
+        ``bundle.json`` is always a complete, loadable bundle.
         """
-        from ..storage.jsonl import JsonlBackend
-        from ..storage.serializers import (
-            catalog_to_dict,
-            dbconfig_to_dict,
-            spec_to_dict,
-            testbed_to_dict,
-        )
-        from ..storage.telemetry import TelemetryStore
-
-        import shutil
-
         path = Path(state_dir)
         manifest = path / "bundle.json"
         if manifest.exists():
@@ -109,75 +111,34 @@ class DiagnosisBundle:
         shutil.rmtree(path / "telemetry", ignore_errors=True)
         path.mkdir(parents=True, exist_ok=True)
 
-        metrics = self.stores.metrics
-        target = TelemetryStore.with_backend(
-            JsonlBackend(path / "telemetry"),
-            interval_s=metrics.interval_s,
-            noise_sigma=metrics.noise_sigma,
-            seed=metrics.seed,
-            replay=False,
-        )
-        target.absorb(self.stores)
-        target.close()
-
-        payload = {
-            "version": 1,
-            "metrics": {
-                "interval_s": metrics.interval_s,
-                "noise_sigma": metrics.noise_sigma,
-                "seed": metrics.seed,
-            },
-            "testbed": testbed_to_dict(self.testbed),
-            "catalog": catalog_to_dict(self.catalog),
-            "db_config": dbconfig_to_dict(self.db_config),
-            "initial_catalog": catalog_to_dict(self.initial_catalog),
-            "initial_config": dbconfig_to_dict(self.initial_config),
-            "query_names": list(self.query_names),
-            "query_specs": {
-                name: spec_to_dict(spec) if spec is not None else None
-                for name, spec in self.query_specs.items()
-            },
-        }
-        from ..storage.backend import atomic_write_json
-
+        payload = self.to_payload()
+        segments = JsonlBackend(path / "telemetry")
+        for keyspace, records in payload.pop("telemetry").items():
+            segments.append_many(keyspace, records)
+        segments.close()
         atomic_write_json(manifest, payload, indent=2, sort_keys=True)
 
     def to_payload(self) -> dict:
         """The whole bundle as one JSON document (the process-pool handoff).
 
-        Same content as :meth:`save` — telemetry records plus the serializer
-        object graph — but crossing a queue instead of landing in a state
-        dir: records are journalled into an in-memory backend and dumped per
-        keyspace.  Everything is JSON-able by construction (these are the
-        exact records :class:`~repro.storage.JsonlBackend` writes as JSON
-        lines).
+        The object graph (testbed, catalogs, configs, query specs) goes
+        through the lossless serializers in :mod:`repro.storage.serializers`;
+        the telemetry (metrics, runs with labels, config snapshots, events)
+        is journalled into an in-memory backend and dumped per keyspace —
+        the exact records :class:`~repro.storage.JsonlBackend` writes as
+        JSON lines.
         """
-        from ..storage.backend import MemoryBackend
-        from ..storage.serializers import (
-            catalog_to_dict,
-            dbconfig_to_dict,
-            spec_to_dict,
-            testbed_to_dict,
-        )
-        from ..storage.telemetry import TelemetryStore
-
         metrics = self.stores.metrics
+        meta = {
+            "interval_s": metrics.interval_s,
+            "noise_sigma": metrics.noise_sigma,
+            "seed": metrics.seed,
+        }
         backend = MemoryBackend()
-        target = TelemetryStore.with_backend(
-            backend,
-            interval_s=metrics.interval_s,
-            noise_sigma=metrics.noise_sigma,
-            seed=metrics.seed,
-            replay=False,
-        )
-        target.absorb(self.stores)
+        MonitoringStores.with_backend(backend, **meta).absorb(self.stores)
         return {
             "version": 1,
-            "metrics": {
-                "interval_s": metrics.interval_s,
-                "noise_sigma": metrics.noise_sigma,
-                "seed": metrics.seed,
-            },
+            "metrics": meta,
             "testbed": testbed_to_dict(self.testbed),
             "catalog": catalog_to_dict(self.catalog),
             "db_config": dbconfig_to_dict(self.db_config),
@@ -203,71 +164,25 @@ class DiagnosisBundle:
         makes worker-process diagnosis byte-for-byte equivalent to in-process
         diagnosis.
         """
-        from ..storage.backend import MemoryBackend
-        from ..storage.serializers import (
-            catalog_from_dict,
-            dbconfig_from_dict,
-            spec_from_dict,
-            testbed_from_dict,
-        )
-        from ..storage.telemetry import TelemetryStore
-
         backend = MemoryBackend()
         for keyspace, records in payload.get("telemetry", {}).items():
             backend.append_many(keyspace, records)
-        metrics_meta = payload["metrics"]
-        stores = TelemetryStore.with_backend(
-            backend,
-            interval_s=metrics_meta["interval_s"],
-            noise_sigma=metrics_meta["noise_sigma"],
-            seed=metrics_meta["seed"],
-            replay=False,
-        )
-        # with_backend only auto-replays durable backends; the memory backend
-        # already holds every record, so replay explicitly.
-        stores.replay()
-        return cls(
-            stores=stores,
-            testbed=testbed_from_dict(payload["testbed"]),
-            catalog=catalog_from_dict(payload["catalog"]),
-            db_config=dbconfig_from_dict(payload["db_config"]),
-            initial_catalog=catalog_from_dict(payload["initial_catalog"]),
-            initial_config=dbconfig_from_dict(payload["initial_config"]),
-            query_names=list(payload.get("query_names", [])),
-            query_specs={
-                name: spec_from_dict(spec) if spec is not None else None
-                for name, spec in payload.get("query_specs", {}).items()
-            },
-        )
+        return cls._decode(payload, backend)
 
     @classmethod
     def load(cls, state_dir: str | os.PathLike) -> "DiagnosisBundle":
-        """Restore a bundle persisted with :meth:`save`.
-
-        The returned bundle diagnoses identically to the one saved: stores
-        replay byte-identically (same sampling interval, noise sigma, and
-        seed), and the testbed/catalog/config graph round-trips through the
-        same serializers that wrote it.
-        """
-        from ..storage.serializers import (
-            catalog_from_dict,
-            dbconfig_from_dict,
-            spec_from_dict,
-            testbed_from_dict,
-        )
-        from ..storage.telemetry import TelemetryStore
-
+        """Restore a bundle persisted with :meth:`save`; its stores keep
+        journalling into the saved segment files."""
         path = Path(state_dir)
         payload = json.loads((path / "bundle.json").read_text())
-        metrics_meta = payload["metrics"]
-        stores = TelemetryStore.open(
-            path / "telemetry",
-            interval_s=metrics_meta["interval_s"],
-            noise_sigma=metrics_meta["noise_sigma"],
-            seed=metrics_meta["seed"],
-        )
+        return cls._decode(payload, JsonlBackend(path / "telemetry"))
+
+    @classmethod
+    def _decode(cls, payload: dict, backend: "StorageBackend") -> "DiagnosisBundle":
+        """The one payload decoder: stores replayed from ``backend``, the
+        object graph through the serializers that wrote it."""
         return cls(
-            stores=stores,
+            stores=MonitoringStores.with_backend(backend, **payload["metrics"]),
             testbed=testbed_from_dict(payload["testbed"]),
             catalog=catalog_from_dict(payload["catalog"]),
             db_config=dbconfig_from_dict(payload["db_config"]),
@@ -309,7 +224,7 @@ class Environment:
             locks=LockManager(),
             noise_sigma=executor_noise_sigma,
         )
-        # An injected store bundle (e.g. a durable TelemetryStore.open(...))
+        # An injected store bundle (e.g. a durable MonitoringStores.open(...))
         # wins over the sampling/noise/seed parameters: the caller owns the
         # metric-store configuration along with the backend.
         self.stores = stores or MonitoringStores(

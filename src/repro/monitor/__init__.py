@@ -2,8 +2,8 @@
 
 Every store accepts an optional ``backend`` (any
 :class:`repro.storage.StorageBackend`) through which mutations are
-journalled; :class:`repro.storage.TelemetryStore` is the facade that wires
-all four to one backend and adds ``open(state_dir)`` durability.
+journalled; :class:`MonitoringStores` bundles the four, wires them to one
+backend (``with_backend``) and adds ``open(state_dir)`` durability.
 """
 
 from .timeseries import MetricStore, Sample

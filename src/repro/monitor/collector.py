@@ -1,4 +1,4 @@
-"""Collector: pulls simulator state into the monitoring stores each tick.
+"""The monitoring stores and the collector that fills them each tick.
 
 Plays the role of IBM TotalStorage Productivity Center in Figure 5: it
 records SAN component metrics, server metrics and database metrics into the
@@ -13,15 +13,22 @@ see every sample the moment it lands, without polling the stores.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Callable
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from ..db.executor import QueryRun
 from ..san.iomodel import SanPerfSample
+from ..storage.jsonl import JsonlBackend
+from ..storage.sqlite import SqliteBackend
 from .configstore import ConfigStore
 from .events import EventLog
 from .runstore import RunStore
 from .timeseries import MetricStore
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..storage.backend import StorageBackend
 
 __all__ = ["MonitoringStores", "Collector", "MetricTap", "RunTap"]
 
@@ -37,12 +44,114 @@ RunTap = Callable[[QueryRun], None]
 
 @dataclass
 class MonitoringStores:
-    """The bundle of stores DIADS diagnoses from."""
+    """The bundle of stores DIADS diagnoses from.
+
+    Constructed bare, the four stores live in memory and journal nothing.
+    :meth:`with_backend` wires all four to one
+    :class:`~repro.storage.StorageBackend` and :meth:`open` to a durable one
+    under a state dir; either way the backend's existing records are
+    replayed first, so a reopened store reads exactly what was written.
+    """
 
     metrics: MetricStore = field(default_factory=MetricStore)
     events: EventLog = field(default_factory=EventLog)
     config: ConfigStore = field(default_factory=ConfigStore)
     runs: RunStore = field(default_factory=RunStore)
+    backend: "StorageBackend | None" = field(default=None, compare=False)
+
+    # -- construction ----------------------------------------------------
+    @classmethod
+    def with_backend(
+        cls,
+        backend: "StorageBackend",
+        *,
+        interval_s: float = 300.0,
+        noise_sigma: float = 0.05,
+        seed: int = 0,
+    ) -> "MonitoringStores":
+        """All four stores journalling through ``backend``, after replaying
+        every record it already holds (none, for a fresh backend)."""
+        stores = cls(
+            metrics=MetricStore(
+                interval_s=interval_s,
+                noise_sigma=noise_sigma,
+                seed=seed,
+                backend=backend,
+            ),
+            events=EventLog(backend=backend),
+            config=ConfigStore(backend=backend),
+            runs=RunStore(backend=backend),
+            backend=backend,
+        )
+        for store in (stores.metrics, stores.runs, stores.config, stores.events):
+            store.replay_from_backend()
+        return stores
+
+    @classmethod
+    def open(
+        cls,
+        state_dir: str | os.PathLike,
+        *,
+        backend: str = "jsonl",
+        interval_s: float = 300.0,
+        noise_sigma: float = 0.05,
+        seed: int = 0,
+        fsync: bool = False,
+    ) -> "MonitoringStores":
+        """Open (or create) a durable store under ``state_dir``.
+
+        ``backend`` is ``"jsonl"`` (append-only segment files, the default)
+        or ``"sqlite"`` (one indexed database file, so keyed scans stop
+        reading whole segments).  A reopened store returns the same
+        ``series()`` / ``runs()`` / ``events()`` / config diffs as the store
+        that wrote them.
+        """
+        if backend == "jsonl":
+            impl = JsonlBackend(state_dir, fsync=fsync)
+        elif backend == "sqlite":
+            impl = SqliteBackend(Path(state_dir) / "telemetry.db", fsync=fsync)
+        else:
+            raise ValueError(
+                f"unknown backend {backend!r} (expected 'jsonl' or 'sqlite')"
+            )
+        return cls.with_backend(
+            impl, interval_s=interval_s, noise_sigma=noise_sigma, seed=seed
+        )
+
+    # -- lifecycle -------------------------------------------------------
+    def flush(self) -> None:
+        if self.backend is not None:
+            self.backend.flush()
+
+    def close(self) -> None:
+        if self.backend is not None:
+            self.backend.close()
+
+    def __enter__(self) -> "MonitoringStores":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- bulk copy -------------------------------------------------------
+    def absorb(self, other: "MonitoringStores") -> None:
+        """Copy every record of ``other`` into these (journalling) stores.
+
+        Runs are copied with their *current* labels (the label is part of
+        the journalled run record), so a labelled bundle round-trips
+        labelled.
+        """
+        self.metrics.append_many(
+            (sample.time, cid, metric, sample.value)
+            for (cid, metric) in other.metrics.keys()
+            for sample in other.metrics._raw[(cid, metric)]
+        )
+        for run in other.runs.runs():
+            self.runs.add(run)
+        for scope, when, flat in other.config.snapshots():
+            self.config._insert_flat(when, scope, dict(flat))
+        for event in other.events.events:
+            self.events.add(event)
 
 
 @dataclass

@@ -215,6 +215,18 @@ class MetricStore:
             return float(np.mean(padded))
         return float(np.mean(values))
 
+    def run_window_means(
+        self, component_id: str, metric: str, runs: Iterable
+    ) -> list[float]:
+        """:meth:`window_mean` over each run's ``[start_time, end_time]``,
+        skipping runs whose window sampled nothing."""
+        values = []
+        for run in runs:
+            mean = self.window_mean(component_id, metric, run.start_time, run.end_time)
+            if mean is not None:
+                values.append(mean)
+        return values
+
     # -- introspection -------------------------------------------------------
     def components(self) -> set[str]:
         return {cid for cid, _ in self._raw}

@@ -15,8 +15,14 @@ dynamically by the sanitizer):
 * :class:`Gauge` — last-write-wins levels (queue depth, watermark lag,
   in-flight diagnoses, via ``add()`` for up/down tracking);
 * :class:`Histogram` — fixed exponential latency buckets with count/sum/
-  min/max and bucket-estimated percentiles (scheduler task latency,
-  storage op latency).
+  min/max (scheduler task latency, storage op latency).
+
+One metrics model: :meth:`MetricsRegistry.snapshot` is the only registry
+read — raw values, histogram buckets included, mergeable across processes.
+Every renderer reads it: Prometheus exposition directly, and ``watch
+--stats``, ``GET /metrics`` and the sidecar snapshots through
+:func:`json_view`, the pure function that derives per-histogram count/sum/
+mean/min/max and bucket-estimated p50/p95.
 
 Call sites use the module-level helpers (:func:`inc`, :func:`set_gauge`,
 :func:`add_gauge`, :func:`observe`, :func:`timed`), which check
@@ -30,6 +36,8 @@ under the determinism lint.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any
 
 from .clock import is_enabled, wall_clock
@@ -39,6 +47,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "json_view",
     "registry",
     "inc",
     "set_gauge",
@@ -116,12 +125,8 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket latency histogram (seconds) with summary stats.
-
-    Percentiles are bucket-estimated: the reported quantile is the upper
-    bound of the bucket the rank falls in, clamped to the observed max —
-    coarse but allocation-free and mergeable across snapshots.
-    """
+    """Fixed-bucket latency histogram (seconds): bucket counts plus
+    count/sum/min/max, allocation-free and mergeable across processes."""
 
     __slots__ = ("name", "bounds", "_lock", "_counts", "_count", "_sum", "_min", "_max")
 
@@ -155,45 +160,8 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
-    def percentile(self, q: float) -> float:
-        with self._lock:
-            count = self._count
-            counts = list(self._counts)
-            observed_max = self._max
-        if count == 0:
-            return 0.0
-        rank = q * count
-        cumulative = 0
-        for i, bucket in enumerate(counts):
-            cumulative += bucket
-            if cumulative >= rank:
-                bound = self.bounds[i] if i < len(self.bounds) else observed_max
-                return min(bound, observed_max)
-        return observed_max
-
-    def summary(self) -> dict:
-        with self._lock:
-            count = self._count
-            total = self._sum
-            low = self._min if count else 0.0
-            high = self._max
-        return {
-            "count": count,
-            "sum_s": total,
-            "mean_ms": (total / count * 1000.0) if count else 0.0,
-            "min_ms": low * 1000.0,
-            "max_ms": high * 1000.0,
-            "p50_ms": self.percentile(0.50) * 1000.0,
-            "p95_ms": self.percentile(0.95) * 1000.0,
-        }
-
     def dump(self) -> dict:
-        """Raw, mergeable state: bucket counts, not derived percentiles.
-
-        This is what crosses the process boundary and what the Prometheus
-        renderer turns into cumulative-``le`` series — both need the actual
-        buckets, which :meth:`summary` deliberately hides.
-        """
+        """Raw, mergeable state: bucket counts, not derived percentiles."""
         with self._lock:
             return {
                 "bounds": list(self.bounds),
@@ -263,24 +231,11 @@ class MetricsRegistry:
 
     # -- snapshotting -----------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-able point-in-time view of every instrument."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        return {
-            "counters": {name: c.value for name, c in sorted(counters.items())},
-            "gauges": {name: g.value for name, g in sorted(gauges.items())},
-            "histograms": {
-                name: h.summary() for name, h in sorted(histograms.items())
-            },
-        }
+        """JSON-able point-in-time raw values of every instrument.
 
-    def dump_raw(self) -> dict:
-        """Raw instrument values — histogram buckets included, not summaries.
-
-        The mergeable/exposable twin of :meth:`snapshot`: what workers ship
-        across the process boundary and what the Prometheus renderer reads.
+        Histograms keep their bucket counts: this is what workers ship
+        across the process boundary and what every renderer reads (see
+        :func:`json_view`).
         """
         with self._lock:
             counters = dict(self._counters)
@@ -295,11 +250,11 @@ class MetricsRegistry:
         }
 
     def fold_worker(self, pid: int | str, dump: dict) -> None:
-        """Fold one worker-registry dump into this (parent) registry.
+        """Fold one worker-registry snapshot into this (parent) registry.
 
         Every worker instrument lands twice: verbatim under
         ``worker.<pid>.<name>`` (cumulative as reported, so re-folding the
-        same dump is idempotent) and summed across workers under
+        same snapshot is idempotent) and summed across workers under
         ``workers.<name>`` — the fleet-level aggregate ``repro metrics``,
         ``watch --stats``, and the serve endpoints surface.
         """
@@ -318,51 +273,34 @@ class MetricsRegistry:
             dumps = list(self._worker_dumps.values())
         totals: dict[str, float] = {}
         levels: dict[str, float] = {}
-        merged: dict[str, dict] = {}
+        histograms: dict[str, list[dict]] = {}
         for worker_dump in dumps:
             for name, value in (worker_dump.get("counters") or {}).items():
                 totals[name] = totals.get(name, 0.0) + float(value)
             for name, value in (worker_dump.get("gauges") or {}).items():
                 levels[name] = levels.get(name, 0.0) + float(value)
             for name, state in (worker_dump.get("histograms") or {}).items():
-                agg = merged.get(name)
-                if agg is None:
-                    merged[name] = {
-                        "bounds": list(state.get("bounds") or DEFAULT_BUCKETS),
-                        "counts": [int(c) for c in state.get("counts") or ()],
-                        "count": int(state.get("count", 0)),
-                        "sum": float(state.get("sum", 0.0)),
-                        "min": float(state.get("min", 0.0)),
-                        "max": float(state.get("max", 0.0)),
-                    }
-                    continue
-                counts = [int(c) for c in state.get("counts") or ()]
-                if len(counts) == len(agg["counts"]):
-                    agg["counts"] = [a + b for a, b in zip(agg["counts"], counts)]
-                agg["count"] += int(state.get("count", 0))
-                agg["sum"] += float(state.get("sum", 0.0))
-                if state.get("count"):
-                    low = float(state.get("min", 0.0))
-                    agg["min"] = min(agg["min"], low) if agg["count"] else low
-                agg["max"] = max(agg["max"], float(state.get("max", 0.0)))
+                histograms.setdefault(name, []).append(state)
         for name, value in totals.items():
             self.counter(f"workers.{name}").set_total(value)
         for name, value in levels.items():
             self.gauge(f"workers.{name}").set(value)
-        for name, state in merged.items():
-            self.histogram(f"workers.{name}", tuple(state["bounds"])).load(state)
+        for name, states in histograms.items():
+            merged = _merge_histograms(states)
+            self.histogram(f"workers.{name}", tuple(merged["bounds"])).load(merged)
 
     def snapshot_to(
         self, backend: Any, sim_t: float, *, keyspace: str | None = None
     ) -> dict:
-        """Append one snapshot record (simulated timestamp) to a backend."""
+        """Append one :func:`json_view` record (simulated timestamp) to a
+        backend."""
         if keyspace is None:
             from ..storage import keyspaces as _keyspaces  # lazy: keep obs import-light
 
             keyspace = _keyspaces.OBS_METRICS
-        snap = self.snapshot()
-        backend.append(keyspace, {"t": sim_t, "metrics": snap})
-        return snap
+        view = json_view(self.snapshot())
+        backend.append(keyspace, {"t": sim_t, "metrics": view})
+        return view
 
     def reset(self) -> None:
         """Drop every instrument (tests / fresh benchmark legs)."""
@@ -372,6 +310,55 @@ class MetricsRegistry:
             self._histograms = {}
         with self._worker_lock:
             self._worker_dumps = {}
+
+
+def _merge_histograms(states: list[dict]) -> dict:
+    """Sum :meth:`Histogram.dump` states that share their bucket bounds."""
+    return {
+        "bounds": states[0]["bounds"],
+        "counts": [sum(column) for column in zip(*(s["counts"] for s in states))],
+        "count": sum(s["count"] for s in states),
+        "sum": sum(s["sum"] for s in states),
+        "min": min((s["min"] for s in states if s["count"]), default=0.0),
+        "max": max(s["max"] for s in states),
+    }
+
+
+def _percentile(state: dict, q: float) -> float:
+    """Bucket-estimated quantile: the upper bound of the first bucket whose
+    cumulative count reaches the rank, clamped to the observed max."""
+    if not state["count"]:
+        return 0.0
+    i = bisect_left(list(accumulate(state["counts"])), q * state["count"])
+    bounds = state["bounds"]
+    return min(bounds[i], state["max"]) if i < len(bounds) else state["max"]
+
+
+def json_view(snapshot: dict) -> dict:
+    """The derived view of a :meth:`MetricsRegistry.snapshot`.
+
+    Counters and gauges pass through; each histogram becomes count, sum
+    (seconds) and mean/min/max/p50/p95 in milliseconds.  What ``watch
+    --stats``, ``watch --json --stats``, ``GET /metrics`` and the sidecar
+    snapshots show.
+    """
+    histograms = {}
+    for name, state in snapshot["histograms"].items():
+        count, total = state["count"], state["sum"]
+        histograms[name] = {
+            "count": count,
+            "sum_s": total,
+            "mean_ms": (total / count * 1000.0) if count else 0.0,
+            "min_ms": state["min"] * 1000.0,
+            "max_ms": state["max"] * 1000.0,
+            "p50_ms": _percentile(state, 0.50) * 1000.0,
+            "p95_ms": _percentile(state, 0.95) * 1000.0,
+        }
+    return {
+        "counters": dict(snapshot["counters"]),
+        "gauges": dict(snapshot["gauges"]),
+        "histograms": histograms,
+    }
 
 
 _registry = MetricsRegistry()

@@ -1,11 +1,12 @@
 """Prometheus text exposition (format version 0.0.4) for the registry.
 
-Renders a :class:`~repro.obs.metrics.MetricsRegistry` raw dump as the
-plain-text scrape format Prometheus ingests: ``# TYPE`` headers, sanitised
-metric names under the ``repro_`` namespace, escaped label values, and full
-cumulative-``le`` histogram series (``_bucket``/``_sum``/``_count``) from
-the registry's raw bucket counts — the JSON snapshot's percentile summaries
-are *not* scrape-valid, which is why this module reads ``dump_raw()``.
+Renders a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` — the one
+metrics model, raw bucket counts included — as the plain-text scrape format
+Prometheus ingests: ``# TYPE`` headers, sanitised metric names under the
+``repro_`` namespace, escaped label values, and full cumulative-``le``
+histogram series (``_bucket``/``_sum``/``_count``).  The JSON endpoints
+render the same snapshot through :func:`~repro.obs.metrics.json_view`,
+whose bucket-estimated percentiles are not scrape-valid.
 
 Two dotted-name prefixes become labels instead of name components, so
 per-entity series aggregate the way PromQL expects:
@@ -98,9 +99,10 @@ class _Family:
 
 
 def render_prometheus(snapshot: dict | None = None, *, namespace: str = "repro") -> str:
-    """Render a registry raw dump (default: the live registry) as 0.0.4 text."""
+    """Render a registry snapshot (default: the live registry's) as 0.0.4
+    text."""
     if snapshot is None:
-        snapshot = obs_metrics.registry().dump_raw()
+        snapshot = obs_metrics.registry().snapshot()
     families: dict[str, _Family] = {}
 
     def family(dotted: str, kind: str) -> tuple[_Family, dict[str, str]]:

@@ -248,7 +248,7 @@ def drain(*, include_metrics: bool | None = None) -> dict | None:
     if dropped:
         payload["dropped"] = dropped
     if include_metrics and is_enabled():
-        payload["metrics"] = obs_metrics.registry().dump_raw()
+        payload["metrics"] = obs_metrics.registry().snapshot()
     if not spans and "metrics" not in payload:
         return None
     return payload

@@ -151,7 +151,7 @@ def build_router(app: "ServeApp") -> Router:
             200,
             {
                 "pool": app.scheduler.pool.stats(),
-                "metrics": obs_metrics.registry().snapshot(),
+                "metrics": obs_metrics.json_view(obs_metrics.registry().snapshot()),
             },
         )
 

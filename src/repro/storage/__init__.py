@@ -1,9 +1,9 @@
-"""repro.storage — the unified telemetry-store API with pluggable backends.
+"""repro.storage — one backend protocol under every store.
 
 One backend contract (:class:`StorageBackend`: append, scan by key/time
 window, flush, close) carries every kind of telemetry the system records —
 raw metric observations, query runs with labels, configuration snapshots,
-events, and incident journals.  Two first-class implementations ship here:
+events, and incident journals.  Three implementations ship here:
 
 * :class:`MemoryBackend` — per-keyspace record lists held by reference
   (zero-copy appends; the historical in-memory behaviour);
@@ -14,13 +14,13 @@ events, and incident journals.  Two first-class implementations ship here:
 * :class:`SqliteBackend` — one sqlite database with a real
   ``(keyspace, key, ts)`` index, so keyed and time-windowed scans are index
   lookups instead of whole-segment reads
-  (``TelemetryStore.open(state_dir, backend="sqlite")``).
+  (``MonitoringStores.open(state_dir, backend="sqlite")``).
 
-On top sits :class:`TelemetryStore` (``TelemetryStore.open(state_dir)`` /
-``TelemetryStore.in_memory()``), the facade that re-founds the four monitor
-stores on one backend, and :mod:`repro.storage.serializers`, the lossless
-dict serializers shared by journal records, ``DiagnosisBundle.save()`` /
-``load()``, and the fleet supervisor's resume checkpoints.
+The four monitor stores sit on one backend through
+:class:`repro.monitor.MonitoringStores`; :mod:`repro.storage.serializers`
+holds the lossless dict serializers shared by journal records,
+``DiagnosisBundle.save()`` / ``load()``, and the fleet supervisor's resume
+checkpoints.
 
 Implementing a third-party backend is a matter of satisfying the protocol —
 see the "storage backend how-to" section of the README.
@@ -68,7 +68,6 @@ __all__ = [
     "JsonlBackend",
     "PrefixedBackend",
     "SqliteBackend",
-    "TelemetryStore",
     "plan_to_dict",
     "plan_from_dict",
     "run_to_dict",
@@ -88,14 +87,3 @@ __all__ = [
     "testbed_to_dict",
     "testbed_from_dict",
 ]
-
-
-def __getattr__(name: str):
-    # TelemetryStore is imported lazily (PEP 562): its module pulls in the
-    # monitor stores, which themselves import repro.storage.serializers —
-    # an eager import here would close that loop mid-initialisation.
-    if name == "TelemetryStore":
-        from .telemetry import TelemetryStore
-
-        return TelemetryStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

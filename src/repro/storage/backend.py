@@ -128,9 +128,10 @@ class MemoryBackend:
     """Reference in-memory backend: per-keyspace lists of record dicts.
 
     The zero-copy fast path: ``append`` stores the caller's dict object by
-    reference (no serialisation), so a :class:`~repro.storage.TelemetryStore`
-    opened in memory costs one list append per journal write — the same
-    order of work the pre-protocol stores did.
+    reference (no serialisation), so
+    :class:`~repro.monitor.MonitoringStores` wired to it cost one list
+    append per journal write — the same order of work as unjournalled
+    stores.
     """
 
     durable = False

@@ -1365,13 +1365,13 @@ class FleetSupervisor:
         Call after registering the *same* fleet (names, scenarios, seeds)
         that produced the checkpoint.  Environments are deterministic, so
         they are rebuilt by fast-forwarding the simulation — each to *its
-        own* checkpointed clock (version-2 checkpoints carry a per-
-        environment clock vector; a version-1 checkpoint's single duration
-        is treated as a uniform vector).  Detectors stay attached during the
-        fast-forward (run labelling and baselines evolve exactly as in the
-        uninterrupted run) but the detections drained along the way are
-        discarded: the checkpointed manager state already accounts for them.
-        Detector and manager state are then restored, after which
+        own* checkpointed clock.  Only version-2 checkpoints (which carry
+        that per-environment clock vector) resume; any other version raises
+        ``ValueError`` before the fleet is touched.  Detectors stay attached
+        during the fast-forward (run labelling and baselines evolve exactly
+        as in the uninterrupted run) but the detections drained along the
+        way are discarded: the checkpointed manager state already accounts
+        for them.  Detector and manager state are then restored, after which
         :meth:`tick` / :meth:`run` continue as if the process never died.
         """
         if not self.has_checkpoint():
@@ -1379,6 +1379,11 @@ class FleetSupervisor:
         if self.ticks:
             raise ValueError("resume() must run before any tick")
         state = json.loads((self.state_dir / CHECKPOINT_FILE).read_text())
+        if state.get("version") != 2:
+            raise ValueError(
+                f"checkpoint version {state.get('version')!r} is not supported "
+                "(only version 2 resumes)"
+            )
         saved_meta = state.get("meta")
         if (
             self.checkpoint_meta is not None
@@ -1404,13 +1409,7 @@ class FleetSupervisor:
                     f" but the checkpoint recorded {env_state['query_name']!r}"
                 )
 
-        # v1 checkpoints froze the fleet at one barrier; v2 carries the
-        # per-environment clock vector an overlapped run produces.
-        uniform = state["advanced_s"]
-        clocks = {
-            name: env_state.get("advanced_s", uniform)
-            for name, env_state in saved.items()
-        }
+        clocks = {name: env_state["advanced_s"] for name, env_state in saved.items()}
         fleet = list(self.watched.values())
         workers = self._workers(len(fleet))
 

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.baselines import SanOnlyDiagnoser, baseline_pipeline
+from repro.core.baselines import baseline_findings, baseline_pipeline
 from repro.core.modules.base import DiagnosisContext, ModuleResult
 from repro.core.pipeline import (
     DEFAULT_MODULES,
@@ -381,8 +381,8 @@ class TestBatchDiagnosis:
 
 class TestBaselinePipelines:
     def test_baseline_pipeline_matches_facade(self, scenario1):
-        findings = SanOnlyDiagnoser().diagnose(
-            scenario1.bundle, scenario1.query_name
+        findings = baseline_findings(
+            "san-only", scenario1.bundle, scenario1.query_name
         )
         pipeline = baseline_pipeline("san-only")
         report = pipeline.diagnose(scenario1.bundle, scenario1.query_name)
@@ -399,19 +399,17 @@ class TestBaselinePipelines:
 
     def test_correlation_only_works_without_satisfactory_runs(self):
         """Seed semantics: pure correlation needs >=3 labelled runs, not
-        both labels — the facade must not require a diagnosis context."""
-        from repro.core.baselines import CorrelationOnlyDiagnoser
+        both labels — baseline_findings must not require a diagnosis
+        context."""
         from repro.lab.scenarios import scenario_san_misconfiguration
 
         sb = scenario_san_misconfiguration(hours=5).run()
         runs = sb.bundle.stores.runs
         for run in runs.runs(sb.query_name):
             runs.mark(run.run_id, False)  # relabel: nothing satisfactory
-        findings = CorrelationOnlyDiagnoser().diagnose(sb.bundle, sb.query_name)
+        findings = baseline_findings("correlation-only", sb.bundle, sb.query_name)
         assert isinstance(findings, list)  # pipeline path would raise
-        from repro.core.baselines import SanOnlyDiagnoser
-
-        assert SanOnlyDiagnoser().diagnose(sb.bundle, sb.query_name) == []
+        assert baseline_findings("san-only", sb.bundle, sb.query_name) == []
 
 
 class TestEvaluationBatch:

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.baselines import (
-    CorrelationOnlyDiagnoser,
-    DbOnlyDiagnoser,
-    SanOnlyDiagnoser,
-)
+from repro.core.baselines import baseline_findings
 from repro.core.report import (
     render_apg_browser,
     render_apg_overview,
@@ -140,8 +136,8 @@ class TestRenderers:
 
 class TestBaselines:
     def test_san_only_flags_both_volumes_in_burst_variant(self, scenario1_burst):
-        findings = SanOnlyDiagnoser().diagnose(
-            scenario1_burst.bundle, scenario1_burst.query_name
+        findings = baseline_findings(
+            "san-only", scenario1_burst.bundle, scenario1_burst.query_name
         )
         targets = [f.target for f in findings]
         assert "V1" in targets and "V2" in targets
@@ -149,15 +145,15 @@ class TestBaselines:
         assert targets.index("V2") < targets.index("V1")
 
     def test_db_only_emits_false_positives(self, scenario1):
-        findings = DbOnlyDiagnoser().diagnose(scenario1.bundle, scenario1.query_name)
+        findings = baseline_findings("db-only", scenario1.bundle, scenario1.query_name)
         causes = {f.cause for f in findings}
         assert "slow-operators" in causes
         assert "suboptimal-buffer-pool" in causes  # the false positive
         assert not any("V1" in f.target for f in findings)  # blind to the SAN
 
     def test_correlation_only_floods(self, scenario1):
-        findings = CorrelationOnlyDiagnoser().diagnose(
-            scenario1.bundle, scenario1.query_name
+        findings = baseline_findings(
+            "correlation-only", scenario1.bundle, scenario1.query_name
         )
         assert len(findings) >= 5  # event flooding: many correlated metrics
         components = {f.target.split(".")[0] for f in findings}

@@ -10,7 +10,7 @@ from repro.core import Diads
 from repro.core.serialize import report_to_dict
 from repro.lab.environment import DiagnosisBundle, Environment
 from repro.lab.scenarios import scenario_san_misconfiguration
-from repro.storage import TelemetryStore
+from repro.monitor import MonitoringStores
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,23 @@ class TestBundleSaveLoad:
         )
         assert original["causes"], "scenario should produce ranked causes"
 
+    def test_save_writes_the_payload(self, tmp_path, scenario_bundle):
+        """save() is to_payload() on disk: the telemetry records as segment
+        lines, everything else as bundle.json; load() decodes it back."""
+        bundle = scenario_bundle.bundle
+        payload = json.loads(json.dumps(bundle.to_payload()))
+        bundle.save(tmp_path / "b")
+        telemetry = payload.pop("telemetry")
+        assert json.loads((tmp_path / "b" / "bundle.json").read_text()) == payload
+        segments = sorted((tmp_path / "b" / "telemetry").glob("*.jsonl"))
+        assert {path.stem for path in segments} == set(telemetry)
+        for path in segments:
+            lines = path.read_text().splitlines()
+            assert [json.loads(line) for line in lines] == telemetry[path.stem]
+        loaded = DiagnosisBundle.load(tmp_path / "b")
+        assert loaded.to_payload()["telemetry"] == telemetry
+        loaded.stores.close()
+
     def test_save_refuses_overwrite_unless_asked(self, tmp_path, scenario_bundle):
         bundle = scenario_bundle.bundle
         bundle.save(tmp_path / "b")
@@ -68,7 +85,7 @@ class TestEnvironmentWithDurableStores:
         from repro.db.tpch import build_tpch_catalog
         from repro.san.builder import build_testbed
 
-        stores = TelemetryStore.open(tmp_path / "tel", seed=11)
+        stores = MonitoringStores.open(tmp_path / "tel", seed=11)
         env = Environment(
             testbed=build_testbed(),
             catalog=build_tpch_catalog(),
@@ -81,7 +98,7 @@ class TestEnvironmentWithDurableStores:
         assert before, "environment should have recorded telemetry"
         stores.close()
 
-        reopened = TelemetryStore.open(tmp_path / "tel", seed=11)
+        reopened = MonitoringStores.open(tmp_path / "tel", seed=11)
         assert reopened.metrics.series(*key) == before
         assert reopened.config.scopes() == stores.config.scopes()
         reopened.close()

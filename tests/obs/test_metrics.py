@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import metrics as obs_metrics
+from repro.obs.prometheus import render_prometheus
 from repro.storage import keyspaces
 from repro.storage.backend import MemoryBackend
 
@@ -28,7 +29,9 @@ class TestInstruments:
         h = obs_metrics.registry().histogram("test.latency_s")
         for v in (0.001, 0.002, 0.004, 0.008, 0.5):
             h.observe(v)
-        summary = h.summary()
+        summary = obs_metrics.json_view(obs_metrics.registry().snapshot())[
+            "histograms"
+        ]["test.latency_s"]
         assert summary["count"] == 5
         assert summary["sum_s"] == pytest.approx(0.515)
         assert summary["max_ms"] == pytest.approx(500.0)
@@ -83,3 +86,58 @@ class TestSnapshots:
         assert [r["t"] for r in records] == [1800.0, 3600.0]
         assert records[0]["metrics"]["counters"]["fires"] == 3
         assert records[1]["metrics"]["counters"]["fires"] == 4
+
+
+def _worker_histogram(values: list[float]) -> dict:
+    histogram = obs_metrics.Histogram("lat_s")
+    for value in values:
+        histogram.observe(value)
+    return histogram.dump()
+
+
+class TestViewsAgree:
+    def test_json_view_matches_prometheus_exposition(self, obs_enabled):
+        """The JSON view and the Prometheus exposition render one snapshot:
+        count, sum and p95 read the same from both."""
+        registry = obs_metrics.registry()
+        registry.counter("demo.hits").inc(3.0)
+        registry.gauge("demo.depth").set(2.0)
+        registry.fold_worker(
+            41, {"histograms": {"lat_s": _worker_histogram([0.0002, 0.003, 0.004])}}
+        )
+        registry.fold_worker(
+            42, {"histograms": {"lat_s": _worker_histogram([0.02, 0.03, 0.04, 7.0])}}
+        )
+        snapshot = registry.snapshot()
+        json_view = obs_metrics.json_view(snapshot)
+        view = json_view["histograms"]["workers.lat_s"]
+
+        samples = {}
+        for line in render_prometheus(snapshot).splitlines():
+            if not line.startswith("#"):
+                name, value = line.rsplit(" ", 1)
+                samples[name] = value
+        assert json_view["counters"]["demo.hits"] == float(samples["repro_demo_hits"]) == 3
+        assert json_view["gauges"]["demo.depth"] == float(samples["repro_demo_depth"]) == 2
+        count = int(samples["repro_workers_lat_s_count"])
+        assert view["count"] == count == 7
+        assert view["sum_s"] == float(samples["repro_workers_lat_s_sum"])
+        buckets = [
+            (name.split('le="')[1].rstrip('"}'), int(value))
+            for name, value in samples.items()
+            if name.startswith("repro_workers_lat_s_bucket")
+        ]
+        first = next(le for le, cumulative in buckets if cumulative >= 0.95 * count)
+        max_s = view["max_ms"] / 1000.0
+        expected = max_s if first == "+Inf" else min(float(first), max_s)
+        assert view["p95_ms"] == pytest.approx(expected * 1000.0)
+
+    def test_fold_min_ignores_empty_worker_histograms(self, obs_enabled):
+        """A worker whose histogram has no observations yet does not pin
+        the fleet aggregate's min to zero."""
+        registry = obs_metrics.registry()
+        registry.fold_worker(41, {"histograms": {"lat_s": _worker_histogram([])}})
+        registry.fold_worker(42, {"histograms": {"lat_s": _worker_histogram([0.2, 0.3])}})
+        view = obs_metrics.json_view(registry.snapshot())["histograms"]["workers.lat_s"]
+        assert view["count"] == 2
+        assert view["min_ms"] == pytest.approx(200.0)

@@ -1,9 +1,9 @@
 """Prometheus text exposition conformance (format 0.0.4).
 
 Rendering is pure (snapshot in, text out), so these tests feed synthetic
-``dump_raw``-shaped snapshots and check the wire format directly: name
-sanitisation, label-value escaping, cumulative ``le`` buckets, and the
-``worker.<pid>.`` / ``serve.tenant.<id>.`` prefix-to-label encoding.
+registry snapshots and check the wire format directly: name sanitisation,
+label-value escaping, cumulative ``le`` buckets, and the ``worker.<pid>.`` /
+``serve.tenant.<id>.`` prefix-to-label encoding.
 """
 
 from __future__ import annotations

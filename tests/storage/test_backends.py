@@ -261,19 +261,19 @@ class TestSqliteBackend:
         b.close()
 
     def test_telemetry_store_opens_sqlite(self, tmp_path):
-        from repro.storage import TelemetryStore
+        from repro.monitor import MonitoringStores
 
-        store = TelemetryStore.open(tmp_path / "state", backend="sqlite")
+        store = MonitoringStores.open(tmp_path / "state", backend="sqlite")
         store.metrics.record(0.0, "V1", "readTime", 5.0)
         store.metrics.record(300.0, "V1", "readTime", 6.0)
         store.close()
 
-        reopened = TelemetryStore.open(tmp_path / "state", backend="sqlite")
+        reopened = MonitoringStores.open(tmp_path / "state", backend="sqlite")
         series = reopened.metrics.series("V1", "readTime")
         assert len(series) == 2
         reopened.close()
         with pytest.raises(ValueError, match="unknown backend"):
-            TelemetryStore.open(tmp_path / "state", backend="redis")
+            MonitoringStores.open(tmp_path / "state", backend="redis")
 
 
 class TestFleetEventLogConformance:

@@ -1,4 +1,4 @@
-"""TelemetryStore facade: back-compat, durability, byte-identical replay."""
+"""MonitoringStores over a backend: wiring, durability, byte-identical replay."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.db.plans import OpType, PlanOperator
 from repro.db.executor import OperatorRuntime, QueryRun
 from repro.monitor import MonitoringStores
 from repro.san.events import SanEvent, SanEventKind
-from repro.storage import MemoryBackend, TelemetryStore
+from repro.storage import MemoryBackend
 
 
 def _make_run(run_id: str, start: float, satisfactory=None) -> QueryRun:
@@ -84,27 +84,38 @@ def _views(store) -> dict:
 
 
 class TestFacade:
-    def test_is_a_monitoring_stores(self):
-        store = TelemetryStore.in_memory()
-        assert isinstance(store, MonitoringStores)
+    def test_with_backend_replays_what_the_backend_holds(self):
+        """A backend that already holds records (a decoded payload) is
+        replayed on wiring."""
+        source = MonitoringStores.with_backend(MemoryBackend())
+        _populate(source, np.random.default_rng(0))
+        held = MemoryBackend()
+        for keyspace in source.backend.keyspaces():
+            held.append_many(keyspace, source.backend.scan(keyspace))
+        rebuilt = MonitoringStores.with_backend(held)
+        assert json.dumps(_views(rebuilt), sort_keys=True) == json.dumps(
+            _views(source), sort_keys=True
+        )
+        # Replay re-applies without journalling the records a second time.
+        assert len(held) == len(source.backend)
 
     def test_bare_construction_has_no_backend(self):
-        assert TelemetryStore().backend is None
+        assert MonitoringStores().backend is None
 
     def test_in_memory_journals_through_one_backend(self):
-        store = TelemetryStore.in_memory()
+        store = MonitoringStores.with_backend(MemoryBackend())
         assert isinstance(store.backend, MemoryBackend)
         _populate(store, np.random.default_rng(0))
         assert set(store.backend.keyspaces()) == {"metrics", "runs", "config", "events"}
 
     def test_memory_backend_is_zero_copy(self):
-        store = TelemetryStore.in_memory()
+        store = MonitoringStores.with_backend(MemoryBackend())
         store.metrics.record(0.0, "V1", "readTime", 1.0)
         rec = next(iter(store.backend.scan("metrics")))
         assert rec["c"] == "V1" and rec["v"] == 1.0
 
     def test_all_stores_share_the_backend(self):
-        store = TelemetryStore.in_memory()
+        store = MonitoringStores.with_backend(MemoryBackend())
         assert (
             store.metrics.backend
             is store.runs.backend
@@ -116,12 +127,12 @@ class TestFacade:
 
 class TestJsonlRoundTrip:
     def test_views_byte_identical_after_reopen(self, tmp_path):
-        store = TelemetryStore.open(tmp_path / "tel", seed=7)
+        store = MonitoringStores.open(tmp_path / "tel", seed=7)
         _populate(store, np.random.default_rng(7))
         before = _views(store)
         store.close()
 
-        reopened = TelemetryStore.open(tmp_path / "tel", seed=7)
+        reopened = MonitoringStores.open(tmp_path / "tel", seed=7)
         assert json.dumps(before, sort_keys=True) == json.dumps(
             _views(reopened), sort_keys=True
         )
@@ -131,7 +142,7 @@ class TestJsonlRoundTrip:
     def test_property_random_streams_round_trip(self, tmp_path, seed):
         """Property test: any write sequence → reopen → identical views."""
         rng = np.random.default_rng(seed)
-        store = TelemetryStore.open(tmp_path / f"tel{seed}", seed=seed)
+        store = MonitoringStores.open(tmp_path / f"tel{seed}", seed=seed)
         for i in range(int(rng.integers(50, 300))):
             cid = f"V{int(rng.integers(1, 5))}"
             metric = ["readTime", "writeTime", "readIO"][int(rng.integers(0, 3))]
@@ -144,33 +155,33 @@ class TestJsonlRoundTrip:
         before = _views(store)
         store.close()
 
-        reopened = TelemetryStore.open(tmp_path / f"tel{seed}", seed=seed)
+        reopened = MonitoringStores.open(tmp_path / f"tel{seed}", seed=seed)
         assert json.dumps(before, sort_keys=True) == json.dumps(
             _views(reopened), sort_keys=True
         )
         reopened.close()
 
     def test_reopen_then_continue_appending(self, tmp_path):
-        store = TelemetryStore.open(tmp_path / "tel", seed=3)
+        store = MonitoringStores.open(tmp_path / "tel", seed=3)
         store.metrics.record(0.0, "V1", "readTime", 5.0)
         store.close()
-        second = TelemetryStore.open(tmp_path / "tel", seed=3)
+        second = MonitoringStores.open(tmp_path / "tel", seed=3)
         second.metrics.record(600.0, "V1", "readTime", 6.0)
         assert len(second.metrics.series("V1", "readTime")) == 2
         second.close()
-        third = TelemetryStore.open(tmp_path / "tel", seed=3)
+        third = MonitoringStores.open(tmp_path / "tel", seed=3)
         assert len(third.metrics.series("V1", "readTime")) == 2
         third.close()
 
     def test_run_labels_survive_reopen(self, tmp_path):
-        store = TelemetryStore.open(tmp_path / "tel")
+        store = MonitoringStores.open(tmp_path / "tel")
         store.runs.add(_make_run("a", 0.0))
         store.runs.add(_make_run("b", 10.0))
         store.runs.mark("a", True)
         store.runs.mark("b", False)
         store.runs.mark("b", True)  # re-label: last write wins on replay
         store.close()
-        reopened = TelemetryStore.open(tmp_path / "tel")
+        reopened = MonitoringStores.open(tmp_path / "tel")
         assert reopened.runs.get("a").satisfactory is True
         assert reopened.runs.get("b").satisfactory is True
         reopened.close()
@@ -180,18 +191,18 @@ class TestJsonlRoundTrip:
         SLO detector does) must still reach the durability journal."""
         from repro.monitor import Collector
 
-        store = TelemetryStore.open(tmp_path / "tel")
+        store = MonitoringStores.open(tmp_path / "tel")
         collector = Collector(stores=store)
         collector.add_run_tap(lambda run: setattr(run, "satisfactory", False))
         collector.collect_query_run(_make_run("q2#1", 100.0))
         store.close()
 
-        reopened = TelemetryStore.open(tmp_path / "tel")
+        reopened = MonitoringStores.open(tmp_path / "tel")
         assert reopened.runs.get("q2#1").satisfactory is False
         reopened.close()
 
     def test_context_manager_closes(self, tmp_path):
-        with TelemetryStore.open(tmp_path / "tel") as store:
+        with MonitoringStores.open(tmp_path / "tel") as store:
             store.metrics.record(0.0, "V1", "readTime", 5.0)
         with pytest.raises(ValueError):
             store.backend.append("metrics", {"t": 1.0})

@@ -183,9 +183,9 @@ class TestStopAndResumeUnderOverlap:
         second.run(HOURS * 3600.0 - covered)
         assert second.advanced_s == HOURS * 3600.0
 
-    def test_legacy_v1_checkpoint_still_resumes(self, tmp_path):
-        """A PR-3 checkpoint (single fleet-wide duration, no clock vector)
-        resumes as a uniform vector."""
+    def test_v1_checkpoint_is_refused(self, tmp_path):
+        """A version-1 checkpoint (single fleet-wide duration, no clock
+        vector) raises before resume() touches the fleet."""
         state = tmp_path / "state"
         first = _fleet_supervisor(self.FLEET, state_dir=state)
         first.run(2.0 * 3600.0)
@@ -197,5 +197,7 @@ class TestStopAndResumeUnderOverlap:
         (state / "checkpoint.json").write_text(json.dumps(payload))
 
         second = _fleet_supervisor(self.FLEET, state_dir=state)
-        assert second.resume() == 2.0 * 3600.0
-        assert second.clocks.skew == 0.0
+        with pytest.raises(ValueError, match="checkpoint version 1"):
+            second.resume()
+        assert second.ticks == 0
+        assert all(w.env.clock == 0.0 for w in second.watched.values())
