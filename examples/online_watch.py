@@ -30,15 +30,18 @@ supervisor = FleetSupervisor(
 for name in DEFAULT_WATCH_FLEET:
     supervisor.watch_scenario(SCENARIOS[name](hours=HOURS))
 
-# Advance the whole fleet chunk by chunk, narrating resolved incidents.
-elapsed = 0.0
-while elapsed < HOURS * 3600.0:
-    for incident in supervisor.tick():
+
+# Advance the whole fleet, narrating each incident as it resolves.  Every
+# environment runs on its own clock, so the lines interleave across the fleet.
+def narrate(event):
+    if event["type"] == "incident_resolved":
         print(
-            f"t={elapsed / 3600.0 + 0.5:4.1f}h  {incident.incident_id:<40} "
-            f"{incident.severity.value:<8} -> {incident.top_cause_id}"
+            f"t={event['clock'] / 3600.0:4.1f}h  {event['incident_id']:<40} "
+            f"{event['severity']:<8} -> {event['top_cause']}"
         )
-    elapsed += supervisor.chunk_s
+
+
+supervisor.run(HOURS * 3600.0, on_event=narrate)
 
 print()
 print(supervisor.render_table())

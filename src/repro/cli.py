@@ -47,7 +47,7 @@ worker-pool and fleet metrics under the table, and — with ``--state-dir``
 — a write-only trace/metrics sidecar under ``DIR/obs/`` that never feeds
 the resume path.  ``trace`` reads it back as a per-span table, Chrome
 trace-event JSON (``--chrome out.json``, loadable in Perfetto), or a
-per-tick critical-path attribution (``--critical-path``); ``metrics``
+per-iteration critical-path attribution (``--critical-path``); ``metrics``
 queries the periodic registry snapshots.
 """
 
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--critical-path", action="store_true",
         help=(
-            "attribute each iteration/tick's wall time to its child phases "
+            "attribute each iteration's wall time to its child phases "
             "and rank the slowest (instead of the span table)"
         ),
     )

@@ -14,7 +14,7 @@ Three consumers:
   trace-event JSON (the ``[{"ph": "X", ...}]`` format), loadable directly
   in Perfetto / ``chrome://tracing``, one timeline row per environment;
 * ``repro trace --critical-path`` — :func:`critical_path` explains each
-  root span (an ``iteration`` or ``tick``) by its direct children: how
+  root span (an environment's ``iteration``) by its direct children: how
   much of the root's wall time is covered by named child spans, what the
   slowest phases were, and the fleet-wide attribution ranking.
 
@@ -41,8 +41,8 @@ __all__ = [
 #: backend.  Kept out of the checkpoint: the resume path never opens it.
 OBS_DIR = "obs"
 
-#: Span names treated as per-tick roots for critical-path analysis.
-ROOT_SPANS = ("iteration", "tick")
+#: Span names treated as per-iteration roots for critical-path analysis.
+ROOT_SPANS = ("iteration",)
 
 
 def _obs_root(state_dir: str | pathlib.Path) -> pathlib.Path | None:
@@ -209,13 +209,13 @@ def critical_path(
 ) -> dict:
     """Attribute root-span wall time to named child phases.
 
-    Every span named in ``roots`` (an ``iteration`` in the barrier-free
-    drive loop, a ``tick`` in the barriered one) is explained by its
-    direct children: child intervals are clipped to the root, their union
-    gives *coverage* (how much of the tick's wall time named spans account
-    for — the acceptance bar is ≥95%), and per-name sums give the
-    attribution ranking.  The slowest roots are returned with their child
-    chain in wall order — the per-tick critical path.
+    Every span named in ``roots`` (an ``iteration`` of an environment's
+    drive loop) is explained by its direct children: child intervals are
+    clipped to the root, their union gives *coverage* (how much of the
+    iteration's wall time named spans account for — the acceptance bar is
+    ≥95%), and per-name sums give the attribution ranking.  The slowest
+    roots are returned with their child chain in wall order — the
+    per-iteration critical path.
     """
     spans = list(spans)
     by_parent: dict[str, list[dict]] = {}

@@ -1,6 +1,6 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-The numeric side of ``repro.obs``: where spans answer "where did this tick's
+The numeric side of ``repro.obs``: where spans answer "where did this iteration's
 wall time go", metrics answer "how deep is the pool queue, how many
 diagnoses are in flight, how fast are storage appends" — cheap instruments
 updated from hot paths and *snapshotted* periodically into the sidecar

@@ -17,7 +17,7 @@ Spans are **write-only sidecar data**: finished spans append to the
 ``obs/`` backend under ``repro watch``), and nothing in the simulation,
 detection, or checkpoint path ever reads them back — the byte-for-byte
 kill/resume guarantee cannot see them.  ``repro trace`` renders the
-journal as a table, Chrome trace-event JSON, or a per-tick critical path
+journal as a table, Chrome trace-event JSON, or a per-iteration critical path
 (:mod:`repro.obs.export`).
 
 Zero-cost when disabled: :func:`span` returns a shared no-op object

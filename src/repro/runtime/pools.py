@@ -1,6 +1,6 @@
 """Shared, long-lived worker pools for the execution substrate.
 
-Before the runtime layer existed, every fan-out site (``FleetSupervisor.tick``,
+Before the runtime layer existed, every fan-out site (the fleet supervisor,
 ``DiagnosisPipeline.diagnose_many``, ``repro batch``) spun up a throwaway
 :class:`~concurrent.futures.ThreadPoolExecutor` per call — thread churn on
 the hot loop and no way to bound *total* concurrency across subsystems.
@@ -71,8 +71,8 @@ class WorkerPool:
     numpy-heavy simulation steps and store scans that release the GIL often
     enough), created once and reused for the lifetime of the owner.  The
     interesting part is :meth:`map_bounded`, which keeps at most ``limit``
-    items in flight — the primitive both ``diagnose_many`` and the barriered
-    ``tick`` path use instead of constructing executors per call.
+    items in flight — the primitive ``diagnose_many`` and the supervisor's
+    resume fast-forward use instead of constructing executors per call.
     """
 
     backend = "threads"

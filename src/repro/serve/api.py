@@ -68,14 +68,8 @@ def _float_query(request: Request, name: str) -> float | None:
 
 # -- blocking store queries (worker pool only) ----------------------------
 def _journal_store(app: "ServeApp", tenant_id: str, store_cls):
-    view = app.registry.backend_for(app.registry.get(tenant_id))
-    store = store_cls(view)
-    if not view.durable:
-        # Durable backends replay in the constructor; a memory backend's
-        # journal is scannable but never auto-folded — fold it now so the
-        # query side sees what the supervisor wrote.
-        store.replay()
-    return store
+    """A fresh store over the tenant's view; it replays what is there."""
+    return store_cls(app.registry.backend_for(app.registry.get(tenant_id)))
 
 
 def _incident_history(app: "ServeApp", tenant_id: str, filters: dict) -> list[dict]:

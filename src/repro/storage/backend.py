@@ -17,6 +17,11 @@ implementations ship with the package:
   stores were re-founded on the protocol;
 * :class:`repro.storage.jsonl.JsonlBackend` — append-only segment files per
   keyspace with an in-memory index and crash-safe replay.
+
+Readers never ask whether a backend outlives its process: every store and
+the fleet event log replays whatever its backend already holds when it is
+constructed, so a fresh reader over a memory backend another writer filled
+sees the same records as one over a JSONL directory an earlier run left.
 """
 
 from __future__ import annotations
@@ -86,11 +91,8 @@ class StorageBackend(Protocol):
     """What a telemetry-store backend must provide.
 
     Append order within a keyspace is the replay order; ``scan`` preserves
-    it.  ``durable`` advertises whether records survive :meth:`close` (the
-    stores use it to decide whether ``replay`` on open makes sense).
+    it.
     """
-
-    durable: bool
 
     def append(self, keyspace: str, record: Record) -> None:
         """Append one record to a keyspace (created on first use)."""
@@ -133,8 +135,6 @@ class MemoryBackend:
     append per journal write — the same order of work as unjournalled
     stores.
     """
-
-    durable = False
 
     def __init__(self) -> None:
         # guarded-by: _lock

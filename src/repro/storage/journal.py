@@ -40,8 +40,7 @@ class JournalStore:
     def __init__(self, backend: "StorageBackend") -> None:
         self.backend = backend
         self._latest: dict[str, dict] = {}
-        if getattr(backend, "durable", False):
-            self.replay()
+        self.replay()
 
     @classmethod
     def open(cls, state_dir: str | os.PathLike):

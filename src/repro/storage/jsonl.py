@@ -87,8 +87,6 @@ class _KeyspaceIndex:
 class JsonlBackend:
     """Append-only JSONL segment files per keyspace, replayed on open."""
 
-    durable = True
-
     def __init__(self, root: str | os.PathLike, *, fsync: bool = False) -> None:
         self.root = Path(root)
         self.fsync = fsync

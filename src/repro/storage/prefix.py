@@ -47,7 +47,6 @@ class PrefixedBackend:
     def __init__(self, inner: StorageBackend, prefix: str) -> None:
         self.inner = inner
         self.prefix = _safe_prefix(prefix)
-        self.durable = bool(getattr(inner, "durable", False))
 
     def _down(self, keyspace: str) -> str:
         return self.prefix + keyspace

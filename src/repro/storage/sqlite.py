@@ -57,8 +57,6 @@ CREATE INDEX IF NOT EXISTS idx_records_ks_ts ON records (ks, t);
 class SqliteBackend:
     """A :class:`StorageBackend` over one sqlite file with keyed indexes."""
 
-    durable = True
-
     def __init__(
         self,
         path: str | os.PathLike,

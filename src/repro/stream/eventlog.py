@@ -51,10 +51,9 @@ class FleetEventLog:
         #: ``on_event`` consumer on the same thread (the SSE broker) recover
         #: the exact journalled record, ``seq`` included, without a re-scan.
         self.last_record: dict | None = None
-        if getattr(backend, "durable", False):
-            for rec in backend.scan(self.KEYSPACE):
-                self._seq = max(self._seq, rec.get("seq", -1))
-                self._last_t = max(self._last_t, rec.get("t", 0.0))
+        for rec in backend.scan(self.KEYSPACE):
+            self._seq = max(self._seq, rec.get("seq", -1))
+            self._last_t = max(self._last_t, rec.get("t", 0.0))
 
     @classmethod
     def open(cls, state_dir: str | os.PathLike) -> "FleetEventLog":

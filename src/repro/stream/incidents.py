@@ -385,7 +385,7 @@ class IncidentStore(JournalStore):
     query surface behind ``repro incidents``.
 
     Folding is idempotent: a supervisor resumed from a checkpoint replays
-    the partially-journalled tick deterministically, so a transition may be
+    the partially-journalled iteration deterministically, so a transition may be
     journalled twice with identical content — re-folding it must not change
     the ticket (``absorb`` skips a detection already present; the other
     events overwrite with equal values).

@@ -2,8 +2,8 @@
 
 :class:`RemoteWatchedEnvironment` duck-types
 :class:`~repro.stream.supervisor.WatchedEnvironment` so every supervisor code
-path — the barriered tick, the barrier-free drive loop, checkpointing,
-resume, fleet correlation — runs unchanged.  The split of responsibilities:
+path — the drive loop, checkpointing, resume, fleet correlation — runs
+unchanged.  The split of responsibilities:
 
 * **Worker process** (:mod:`repro.stream.worker`): the simulator and the
   per-sample streaming detectors — the CPU-bound 99%.  Pinned by sticky

@@ -25,9 +25,10 @@ writes the (per-environment clock-vector) checkpoint at a wall-clock cadence
 and once more at quiesce.  Determinism is preserved per environment — the
 simulation, detection, and diagnosis of one environment form a single
 sequential program — so a killed-and-resumed run still reproduces the
-uninterrupted incident history byte-for-byte, and the barriered
-:meth:`FleetSupervisor.tick` compatibility path produces the same per-
-environment history as the barrier-free :meth:`FleetSupervisor.run`.
+uninterrupted incident history byte-for-byte, and the history does not
+depend on how the runtime interleaves the members: the test suite replays
+fleets on a worker pool that delays every task by a seeded random amount
+and requires the same history from every seed.
 
 No human is in the loop: faults open incidents, incidents carry ranked root
 causes, and ``repro watch`` renders the fleet table live from the runtime's
@@ -186,17 +187,13 @@ class WatchedEnvironment:
 class FleetSupervisor:
     """Advance a fleet of environments and close the detect→diagnose loop.
 
-    Two execution paths share all detection/diagnosis semantics:
-
-    * :meth:`run` — the barrier-free path: one cooperative task per
-      environment on the :class:`~repro.runtime.Scheduler`, diagnosis waves
-      overlapping other members' advances, checkpoints batched off the hot
-      loop.  This is what ``repro watch`` drives.
-    * :meth:`tick` — the barriered compatibility path: the whole fleet
-      advances one chunk in lock-step, then diagnoses as a wave.  Kept for
-      incremental callers (and as the baseline the throughput benchmark
-      measures the runtime against); per-environment incident histories are
-      identical between the two paths.
+    :meth:`run` (or its coroutine form :meth:`run_async`) runs one
+    cooperative task per environment on the
+    :class:`~repro.runtime.Scheduler`: each member advances on its own
+    clock, diagnosis waves overlap other members' advances, and checkpoints
+    are batched off the hot loop.  ``repro watch`` and ``repro serve`` drive
+    it, and its ``on_event`` callback sees each incident transition as it
+    happens.
     """
 
     def __init__(
@@ -292,8 +289,10 @@ class FleetSupervisor:
         #: while siblings may still co-fire.  Trade-off: with a correlator,
         #: the wall-clock moment an attached member notices a fleet decision
         #: depends on fleet progress, so per-member diagnosis timing is no
-        #: longer independent of the rest of the fleet — the fleet-incident
-        #: history itself stays deterministic (watermark-ordered).
+        #: longer independent of the rest of the fleet, and neither is the
+        #: history: the 8-member shared-pool fleet at 24 h with two workers
+        #: gives a different member and fleet-incident history under each
+        #: seeded schedule perturbation.
         self.correlator = correlator
         #: Bound on fleet clock skew (simulated seconds) in the barrier-free
         #: loop: a member whose next chunk would put it more than
@@ -468,17 +467,55 @@ class FleetSupervisor:
             (w.advanced_s for w in self.watched.values()), default=0.0
         )
 
-    # -- shared per-iteration semantics ----------------------------------
-    def _fold_detections(
-        self, watched: WatchedEnvironment, detections: list[Detection]
-    ) -> tuple[list[Incident], list[Incident]]:
-        """Feed one chunk's detections to the manager.
+    # -- incident transitions --------------------------------------------
+    def _publish(
+        self,
+        on_event,
+        watched: WatchedEnvironment,
+        incident: Incident,
+        transition: str,
+        **extra,
+    ) -> None:
+        """Publish one incident transition: feed the correlator, then emit.
 
-        Returns ``(opened, recovered)``: incidents this chunk opened, and
-        incidents the manager recovery-resolved because their series
-        returned to baseline (always empty unless the supervisor was built
-        with ``recovery=True``).  Both are fed to the correlator here so the
-        barriered and barrier-free loops see the identical event sequence.
+        ``transition`` is ``"opened"`` or ``"resolved"`` (``extra`` flags a
+        resolve: ``resolution="recovered"``, ``fleet=True``).  The event is
+        built once and the correlator and the event stream get the same
+        dict.  The engine only buffers opens and resolves — ready groups
+        come back from ``advanced`` feeds and
+        :meth:`~repro.correlate.CorrelationEngine.finalize` — so nothing
+        here drills down.
+        """
+        event = {
+            "type": f"incident_{transition}",
+            "env": watched.name,
+            "incident_id": incident.incident_id,
+            "severity": incident.severity.value,
+        }
+        if transition == "opened":
+            event["opened_at"] = incident.opened_at
+            if incident.escalated_from:
+                event["escalated_from"] = incident.escalated_from
+        else:
+            event.update(
+                top_cause=incident.top_cause_id,
+                **extra,
+                resolved_at=incident.resolved_at,
+                clock=watched.env.clock,
+            )
+        if self.correlator is not None:
+            self.correlator.observe(event)
+        self._emit(on_event, event)
+
+    def _fold_detections(
+        self, watched: WatchedEnvironment, detections: list[Detection], on_event
+    ) -> list[Incident]:
+        """Feed one chunk's detections to the manager; publish what changed.
+
+        Publishes every incident this chunk opened, then every incident the
+        manager recovery-resolved because its series returned to baseline,
+        and returns the latter (always empty unless the supervisor was built
+        with ``recovery=True``).
         """
         opened: list[Incident] = []
         obs_metrics.inc("detectors.fires", len(detections))
@@ -492,48 +529,14 @@ class FleetSupervisor:
         if recovered:
             obs_metrics.inc("incidents.recovered", len(recovered))
         for incident in opened:
-            self._drill_down(
-                self._correlate(
-                    {
-                        "type": "incident_opened",
-                        "env": watched.name,
-                        "incident_id": incident.incident_id,
-                        "opened_at": incident.opened_at,
-                    }
-                )
-            )
+            self._publish(on_event, watched, incident, "opened")
         for incident in recovered:
-            self._drill_down(
-                self._correlate(
-                    {
-                        "type": "incident_resolved",
-                        "env": watched.name,
-                        "incident_id": incident.incident_id,
-                        "resolved_at": incident.resolved_at,
-                    }
-                )
+            self._publish(
+                on_event, watched, incident, "resolved", resolution="recovered"
             )
-        return opened, recovered
+        return recovered
 
     # -- cross-environment correlation -----------------------------------
-    def _correlate(self, event: FleetEvent) -> list:
-        """Feed the correlator; returns fleet incidents ready for drill-down.
-
-        Only progress (``advanced``) feeds can surface ready groups — opens
-        and resolves are merely buffered — so most call sites get an empty
-        list.  The barriered :meth:`tick` runs the drill-down synchronously
-        (:meth:`_drill_down`); the barrier-free :meth:`_drive` bridges it
-        onto the worker pool so the cross-bundle analysis (and the sibling
-        advance locks it takes) never stalls the coordination loop.
-        """
-        if self.correlator is None:
-            return []
-        return self.correlator.observe(event)
-
-    def _drill_down(self, groups) -> None:
-        for group in groups:
-            self._on_fleet_incident(group)
-
     def _on_fleet_incident(self, group) -> None:
         """Snapshot member bundles and attach the fleet-level report."""
         from ..correlate.diagnosis import diagnose_fleet_incident
@@ -603,15 +606,15 @@ class FleetSupervisor:
                 await scheduler.call(self._on_fleet_incident, group)
 
     def _apply_fleet_short_circuit(
-        self, watched: WatchedEnvironment, on_event=None
+        self, watched: WatchedEnvironment, on_event
     ) -> list[Incident]:
         """Resolve member incidents whose shared cause a fleet report names.
 
         A grouped incident never pays its own pipeline run: it is resolved
         with the fleet-level report, at the *group's* open time (a
         deterministic simulated time), and the engine is told so the fleet
-        incident can complete its own lifecycle.  Every transition is also
-        emitted (and therefore journalled in the fleet event log) with its
+        incident can complete its own lifecycle.  Every transition is
+        published (and therefore journalled in the fleet event log) with its
         deterministic simulated time, so an out-of-process correlator
         tailing the log reconstructs the identical history.
         """
@@ -642,53 +645,12 @@ class FleetSupervisor:
                 incident.deduped -= len(late)
             incident.report_data = report_data
             watched.manager.resolve(incident, resolve_at)
-            self._drill_down(
-                self._correlate(
-                    {
-                        "type": "incident_resolved",
-                        "env": watched.name,
-                        "incident_id": incident.incident_id,
-                        "resolved_at": incident.resolved_at,
-                    }
-                )
-            )
-            self._emit(
-                on_event,
-                {
-                    "type": "incident_resolved",
-                    "env": watched.name,
-                    "incident_id": incident.incident_id,
-                    "severity": incident.severity.value,
-                    "top_cause": incident.top_cause_id,
-                    "fleet": True,
-                    "resolved_at": incident.resolved_at,
-                    "clock": watched.env.clock,
-                },
-            )
+            self._publish(on_event, watched, incident, "resolved", fleet=True)
             resolved.append(incident)
             for detection in late:
                 reopened = watched.manager.observe(detection)
                 if reopened is not None:
-                    self._drill_down(
-                        self._correlate(
-                            {
-                                "type": "incident_opened",
-                                "env": watched.name,
-                                "incident_id": reopened.incident_id,
-                                "opened_at": reopened.opened_at,
-                            }
-                        )
-                    )
-                    self._emit(
-                        on_event,
-                        {
-                            "type": "incident_opened",
-                            "env": watched.name,
-                            "incident_id": reopened.incident_id,
-                            "severity": reopened.severity.value,
-                            "opened_at": reopened.opened_at,
-                        },
-                    )
+                    self._publish(on_event, watched, reopened, "opened")
         return resolved
 
     def _begin_diagnosis_wave(
@@ -724,9 +686,13 @@ class FleetSupervisor:
         return open_incidents, watched.diagnosis_request()
 
     def _resolve_wave(
-        self, watched: WatchedEnvironment, incidents: list[Incident], report
-    ) -> list[Incident]:
-        """Attach the report and resolve at the clock diagnosis began.
+        self,
+        watched: WatchedEnvironment,
+        incidents: list[Incident],
+        report,
+        on_event,
+    ) -> None:
+        """Attach the report, resolve at the clock diagnosis began, publish.
 
         The resolve clock is the environment clock captured when the wave
         was submitted — a deterministic simulated time, never wall time —
@@ -745,102 +711,7 @@ class FleetSupervisor:
                 watched.record_evaluation(incident.incident_id, report.evaluation)
             else:
                 watched.manager.resolve(incident, clock, report)
-            self._drill_down(
-                self._correlate(
-                    {
-                        "type": "incident_resolved",
-                        "env": watched.name,
-                        "incident_id": incident.incident_id,
-                        "resolved_at": clock,
-                    }
-                )
-            )
-        return incidents
-
-    # -- the barriered compatibility loop --------------------------------
-    def tick(self, chunk_s: float | None = None) -> list[Incident]:
-        """Advance the fleet one chunk in lock-step; incidents resolved.
-
-        ``chunk_s`` overrides the configured chunk for this tick only (used
-        to clamp the final chunk of a bounded run).  This is the PR-2 era
-        barriered loop kept as the incremental/compatibility surface: every
-        environment advances the same chunk, then one fleet-wide diagnosis
-        wave runs to completion before the tick returns.  Prefer
-        :meth:`run` — the barrier-free path — for fleets where a slow
-        diagnosis must not stall other members.
-        """
-        if not self.watched:
-            raise ValueError("no environments watched")
-        chunk = chunk_s if chunk_s is not None else self.chunk_s
-        fleet = list(self.watched.values())
-        workers = self._workers(len(fleet))
-        self._attach_obs()
-
-        with span("tick", sim_t=self.advanced_s, chunk_s=chunk):
-            # Phase 1 — advance all environments concurrently on the shared
-            # pool.  Each environment is touched by exactly one worker at a
-            # time; detections buffer per-env.
-            with span("advance"):
-                if workers > 1 and len(fleet) > 1:
-                    batches = self._pool().map_bounded(
-                        lambda w: w.advance(chunk), fleet, limit=workers
-                    )
-                else:
-                    batches = [w.advance(chunk) for w in fleet]
-
-            # Phase 2 — fold detections into incidents (dedup + cooldown).
-            recovered: list[Incident] = []
-            with span("detect"):
-                for watched, detections in zip(fleet, batches):
-                    watched.advanced_s += chunk
-                    _opened, env_recovered = self._fold_detections(
-                        watched, detections
-                    )
-                    recovered.extend(env_recovered)
-
-            # Phase 3 — fleet-wide diagnosis wave (the barrier this method
-            # is named for): submit every due environment's request as a
-            # batch and wait for all reports.  Incidents a fleet report
-            # already covers are short-circuited instead of entering the
-            # wave.
-            wave: list[tuple[WatchedEnvironment, list[Incident]]] = []
-            requests: list[DiagnosisRequest] = []
-            resolved: list[Incident] = list(recovered)
-            with span("diagnose"):
-                for watched in fleet:
-                    resolved.extend(self._apply_fleet_short_circuit(watched))
-                    due = self._begin_diagnosis_wave(watched)
-                    if due is None:
-                        continue
-                    incidents, request = due
-                    wave.append((watched, incidents))
-                    requests.append(request)
-                if wave:
-                    futures = [
-                        self._submit_diagnosis(request) for request in requests
-                    ]
-                    for (watched, incidents), future in zip(wave, futures):
-                        resolved.extend(
-                            self._resolve_wave(watched, incidents, future.result())
-                        )
-            # Progress is fed to the correlator last, mirroring the barrier-
-            # free loop: the watermark only moves once this tick's opens and
-            # resolves are buffered, so both execution paths process the
-            # identical simulated-time sequence.
-            with span("correlate"):
-                for watched in fleet:
-                    self._drill_down(
-                        self._correlate(
-                            {
-                                "type": "advanced",
-                                "env": watched.name,
-                                "advanced_s": watched.advanced_s,
-                            }
-                        )
-                    )
-            self.ticks += 1
-            self.checkpoint()
-        return resolved
+            self._publish(on_event, watched, incident, "resolved")
 
     # -- the barrier-free loop -------------------------------------------
     def run(
@@ -1022,38 +893,7 @@ class FleetSupervisor:
                     advance_gate.release()
                 watched.advanced_s += step
                 with span("detect", detections=len(detections)):
-                    opened, recovered = self._fold_detections(watched, detections)
-                    for incident in opened:
-                        self._emit(
-                            on_event,
-                            {
-                                "type": "incident_opened",
-                                "env": watched.name,
-                                "incident_id": incident.incident_id,
-                                "severity": incident.severity.value,
-                                "opened_at": incident.opened_at,
-                                **(
-                                    {"escalated_from": incident.escalated_from}
-                                    if incident.escalated_from
-                                    else {}
-                                ),
-                            },
-                        )
-                    for incident in recovered:
-                        self._emit(
-                            on_event,
-                            {
-                                "type": "incident_resolved",
-                                "env": watched.name,
-                                "incident_id": incident.incident_id,
-                                "severity": incident.severity.value,
-                                "top_cause": incident.top_cause_id,
-                                "resolution": "recovered",
-                                "resolved_at": incident.resolved_at,
-                                "clock": watched.env.clock,
-                            },
-                        )
-                    resolved: list[Incident] = list(recovered)
+                    resolved = self._fold_detections(watched, detections, on_event)
                     resolved.extend(
                         self._apply_fleet_short_circuit(watched, on_event)
                     )
@@ -1075,23 +915,8 @@ class FleetSupervisor:
                         report = await self._diagnose_async(
                             scheduler, request, diagnosis_gate
                         )
-                        wave_resolved = self._resolve_wave(
-                            watched, incidents, report
-                        )
-                        resolved.extend(wave_resolved)
-                        for incident in wave_resolved:
-                            self._emit(
-                                on_event,
-                                {
-                                    "type": "incident_resolved",
-                                    "env": watched.name,
-                                    "incident_id": incident.incident_id,
-                                    "severity": incident.severity.value,
-                                    "top_cause": incident.top_cause_id,
-                                    "resolved_at": incident.resolved_at,
-                                    "clock": watched.env.clock,
-                                },
-                            )
+                        self._resolve_wave(watched, incidents, report, on_event)
+                        resolved.extend(incidents)
                 self.ticks += 1
                 # Progress feeds the correlator last (after this iteration's
                 # opens and resolves are buffered) and before the snapshot
@@ -1104,15 +929,16 @@ class FleetSupervisor:
                 # idempotent), so the snapshot-ordering invariant is
                 # unaffected by awaiting here.
                 with span("correlate"):
-                    ready = self._correlate(
-                        {
-                            "type": "advanced",
-                            "env": watched.name,
-                            "advanced_s": watched.advanced_s,
-                        }
-                    )
-                    for group in ready:
-                        await scheduler.call(self._on_fleet_incident, group)
+                    if self.correlator is not None:
+                        ready = self.correlator.observe(
+                            {
+                                "type": "advanced",
+                                "env": watched.name,
+                                "advanced_s": watched.advanced_s,
+                            }
+                        )
+                        for group in ready:
+                            await scheduler.call(self._on_fleet_incident, group)
                 if self.state_dir is not None:
                     with span("snapshot"):
                         self._env_snapshots[watched.name] = self._snapshot_env(
@@ -1143,30 +969,29 @@ class FleetSupervisor:
             {"type": "env_done", "env": watched.name, "clock": watched.env.clock},
         )
 
-    def _submit_diagnosis(self, request, *, pool: WorkerPool | None = None):
-        """Submit one diagnosis request; local or remote, returns a Future.
-
-        A :class:`RemoteDiagnosisRequest` routes into the environment's
-        sticky worker process (no bundle crosses the boundary); a plain
-        :class:`DiagnosisRequest` runs the pipeline on the given pool (the
-        thread front of a process pool is fine — pipelines release the GIL
-        on store scans and this path only carries local environments).
-        """
-        if isinstance(request, RemoteDiagnosisRequest):
-            return request.submit()
-        return self.pipeline.submit_many([request], pool=pool or self._pool())[0]
-
     async def _diagnose_async(
         self,
         scheduler: Scheduler,
         request: DiagnosisRequest,
         diagnosis_gate: asyncio.Semaphore | None,
     ):
-        """Submit one diagnosis to the runtime; await only this env's report."""
+        """Submit one diagnosis to the runtime; await only this env's report.
+
+        A :class:`RemoteDiagnosisRequest` routes into the environment's
+        sticky worker process (no bundle crosses the boundary); a plain
+        :class:`DiagnosisRequest` runs the pipeline on the scheduler's pool
+        (the thread front of a process pool is fine — pipelines release the
+        GIL on store scans and this path only carries local environments).
+        """
         async with diagnosis_gate if diagnosis_gate is not None else nullcontext():
             obs_metrics.add_gauge("diagnoses.in_flight", 1)
             try:
-                future = self._submit_diagnosis(request, pool=scheduler.pool)
+                if isinstance(request, RemoteDiagnosisRequest):
+                    future = request.submit()
+                else:
+                    future = self.pipeline.submit_many(
+                        [request], pool=scheduler.pool
+                    )[0]
                 return await asyncio.wrap_future(future)
             finally:
                 obs_metrics.add_gauge("diagnoses.in_flight", -1)
@@ -1335,23 +1160,6 @@ class FleetSupervisor:
             # wall cadence (not per iteration — the hot loop never pays).
             await scheduler.call(self._snapshot_obs)
 
-    def checkpoint(self) -> None:
-        """Snapshot every environment now and write the checkpoint.
-
-        Safe whenever no environment is mid-advance: the barriered
-        :meth:`tick` calls it after each tick (PR-3 semantics preserved);
-        the barrier-free path batches writes through the flusher instead and
-        calls this once at quiesce.  No-op without a state dir.
-        """
-        if self.state_dir is None:
-            return
-        with span("checkpoint", sim_t=self.advanced_s):
-            for watched in self.watched.values():
-                self._env_snapshots[watched.name] = self._snapshot_env(watched)
-            self._checkpoint_dirty = False
-            self._write_checkpoint()
-        self._snapshot_obs()
-
     def has_checkpoint(self) -> bool:
         return (
             self.state_dir is not None
@@ -1372,7 +1180,7 @@ class FleetSupervisor:
         as in the uninterrupted run) but the detections drained along the
         way are discarded: the checkpointed manager state already accounts
         for them.  Detector and manager state are then restored, after which
-        :meth:`tick` / :meth:`run` continue as if the process never died.
+        :meth:`run` continues as if the process never died.
         """
         if not self.has_checkpoint():
             raise FileNotFoundError(f"no {CHECKPOINT_FILE} under {self.state_dir}")

@@ -192,6 +192,30 @@ class TestLifecycle:
         ready = advance_all(eng, 700.0)  # watermark past 120 + 500
         assert len(ready) == 1
 
+    def test_only_the_advanced_feed_passing_the_cutoff_returns_groups(self):
+        """Opens and resolves are only buffered: observe() returns [] for
+        them.  A ready group comes back once, from the ``advanced`` feed
+        whose watermark passes its drill-down cutoff (the supervisor feeds
+        transitions without looking for groups, and drills down only on
+        progress feeds)."""
+        eng = CorrelationEngine(
+            MEMBERSHIP, window_s=WINDOW, min_members=3, drilldown_delay_s=500.0
+        )
+        for env, iid in [("env-a", "A1"), ("env-b", "B1"), ("env-c", "C1")]:
+            assert eng.observe(opened(env, iid, 100.0)) == []
+        assert advance_all(eng, 200.0) == []
+        (group,) = eng.fleet_incidents()
+        cutoff = group.opened_at + 500.0
+        assert eng.observe(resolved("env-a", "A1", 250.0)) == []
+        # The watermark is the slowest member's clock: env-f holds it back.
+        assert advance_all(eng, cutoff, envs=ALL_ENVS[:-1]) == []
+        assert eng.observe(opened("env-d", "D1", 300.0)) == []
+        assert eng.observe(resolved("env-b", "B1", 300.0)) == []
+        assert eng.observe(adv(ALL_ENVS[-1], cutoff)) == [group]
+        assert eng.observe(opened("env-e", "E1", cutoff)) == []
+        assert eng.observe(resolved("env-c", "C1", cutoff)) == []
+        assert advance_all(eng, cutoff + 100.0) == []
+
 
 class TestDeterminism:
     def test_refeeding_identical_events_is_idempotent(self):

@@ -2,7 +2,7 @@
 
 Two tenants run the *same* scenario with the *same* environment names under
 one state root; every read through one tenant's view must see only that
-tenant's records — on every durable backend plus the in-memory one.
+tenant's records — on the JSONL, sqlite and in-memory backends.
 """
 
 from __future__ import annotations
@@ -69,11 +69,9 @@ def test_incident_stores_are_isolated(kind, tmp_path, make_incident):
     assert [t["opened_at"] for t in store_a.history()] == [10.0]
     assert [t["opened_at"] for t in store_b.history()] == [20.0]
 
-    # Fresh stores over fresh views fold only their own journal (durable
-    # backends replay from storage; memory folds live).
+    # Fresh stores over fresh views replay only their own journal.
     fresh_a = IncidentStore(registry.backend_for(registry.get("acme")))
-    if getattr(shared, "durable", False):
-        assert [t["opened_at"] for t in fresh_a.history()] == [10.0]
+    assert [t["opened_at"] for t in fresh_a.history()] == [10.0]
     shared.close()
 
 

@@ -307,18 +307,19 @@ class TestFleetEventLogConformance:
             "incident_id"
         ] == "INC-env-a-1"
 
-    def test_seq_continues_across_reopen_when_durable(self, tmp_path):
+    def test_seq_continues_across_reopen_when_durable(self, backend):
+        """A log opened over a backend that already holds events continues
+        their numbering, on every backend (memory included)."""
         from repro.stream import FleetEventLog
 
-        log = FleetEventLog.open(tmp_path)
+        log = FleetEventLog(backend)
         for event in self.EVENTS:
             log.append(event)
-        log.close()
-        reopened = FleetEventLog.open(tmp_path)
+        log.flush()
+        reopened = FleetEventLog(backend)
         assert reopened.last_seq == 2
         reopened.append({"type": "advanced", "env": "env-b", "clock": 3600.0})
         assert [r["seq"] for r in reopened.tail()] == [0, 1, 2, 3]
-        reopened.close()
 
     def test_live_tailer_survives_writer_kill_and_resume(self, tmp_path):
         """SSE-style consumers hold their *own* backend handle and poll
@@ -378,3 +379,38 @@ class TestFleetEventLogConformance:
         assert [r["seq"] for r in tailer.tail(after_seq=0)] == [1]
         writer.close()
         tailer.close()
+
+
+class TestReadersReplayWhatTheBackendHolds:
+    """A fresh journal store lists what its backend already holds, whether
+    or not the backend outlives the process."""
+
+    def test_fresh_journal_stores_over_memory_list_existing_records(self):
+        from repro.correlate import CorrelationEngine, FleetIncidentStore
+        from repro.stream import IncidentManager, IncidentStore
+        from repro.stream.detectors import Detection
+
+        backend = MemoryBackend()
+        incidents = IncidentStore(backend)
+        envs = ("env-a", "env-b", "env-c")
+        managers = {env: IncidentManager(env, store=incidents) for env in envs}
+        fleet = FleetIncidentStore(backend)
+        engine = CorrelationEngine({"P1": envs}, drilldown_delay_s=0.0, store=fleet)
+        for env, manager in managers.items():
+            incident = manager.observe(
+                Detection(
+                    time=100.0, detector="ewma-drift", target="V1/readTime",
+                    value=10.0, expected=5.0, magnitude=1.5, kind="drift",
+                )
+            )
+            engine.observe(
+                {"type": "incident_opened", "env": env,
+                 "incident_id": incident.incident_id, "opened_at": 100.0}
+            )
+        for env in envs:
+            engine.observe({"type": "advanced", "env": env, "advanced_s": 200.0})
+        assert len(incidents.history()) == 3
+        assert len(fleet.history()) == 1
+
+        assert IncidentStore(backend).history() == incidents.history()
+        assert FleetIncidentStore(backend).history() == fleet.history()

@@ -1,12 +1,14 @@
-"""Scheduler/sync equivalence + kill/resume under overlapped diagnosis.
+"""Schedule equivalence + kill/resume under overlapped diagnosis.
 
 The barrier-free runtime must be *semantically invisible*: a seeded fleet
 supervised by the asyncio scheduler (environments on independent clocks,
 diagnoses overlapping other members' advances) must produce exactly the
-incidents — same detections, same clocks, same ranked root causes — as the
-PR-3 sequential path (the barriered ``tick`` loop).  And a run stopped
-mid-flight must resume from its clock-vector checkpoint into a history that
-is byte-for-byte the uninterrupted one.
+incidents — same detections, same clocks, same ranked root causes — under
+every schedule.  The reference runs one worker and one diagnosis at a time
+on a pool that delays every task by perturbation seed 0; other seeds and
+worker counts, and the default pool, must reproduce it byte-for-byte.  And
+a run stopped mid-flight must resume from its clock-vector checkpoint into
+a history that is byte-for-byte the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import pytest
 
 from repro.cli import SCENARIOS
 from repro.stream import FleetSupervisor, IncidentStore
+
+from .conftest import PerturbedPool
 
 HOURS = 6.0
 
@@ -50,23 +54,36 @@ def _history(supervisor):
     return json.dumps([i.to_dict() for i in supervisor.incidents()], sort_keys=True)
 
 
+def _perturbed_history(seed, workers, **kwargs):
+    """The 8-env fleet's history on a pool perturbed by ``seed``."""
+    with PerturbedPool(seed, max_workers=workers) as pool:
+        supervisor = _fleet_supervisor(
+            EIGHT_ENV_FLEET, max_workers=workers, pool=pool, **kwargs
+        )
+        supervisor.run(HOURS * 3600.0)
+    return _history(supervisor)
+
+
 class TestSchedulerSyncEquivalence:
     @pytest.fixture(scope="class")
     def sequential_history(self):
-        """The PR-3 sequential path: barriered ticks, one worker."""
-        supervisor = _fleet_supervisor(EIGHT_ENV_FLEET, max_workers=1)
-        elapsed = 0.0
-        while elapsed < HOURS * 3600.0:
-            step = min(supervisor.chunk_s, HOURS * 3600.0 - elapsed)
-            supervisor.tick(step)
-            elapsed += step
-        history = _history(supervisor)
+        """The reference schedule: one worker, one diagnosis in flight,
+        every pool task delayed by perturbation seed 0."""
+        history = _perturbed_history(0, 1, max_inflight_diagnoses=1)
         assert json.loads(history), "seeded fleet must open incidents"
         return history
 
+    @pytest.mark.parametrize("seed, workers", [(1, 1), (2, 2), (3, 2)])
+    def test_perturbed_schedule_reproduces_history(
+        self, sequential_history, seed, workers
+    ):
+        """Each seed delays every advance, drill-down and diagnosis by a
+        different amount: the interleaving changes, the history must not."""
+        assert _perturbed_history(seed, workers) == sequential_history
+
     def test_async_runtime_matches_sequential_path(self, sequential_history):
-        """Same seeded 8-env fleet under run(): identical incidents and
-        ranked root causes, byte-for-byte."""
+        """Same seeded 8-env fleet under run() on the default pool:
+        identical incidents and ranked root causes, byte-for-byte."""
         supervisor = _fleet_supervisor(EIGHT_ENV_FLEET)
         supervisor.run(HOURS * 3600.0)
         assert _history(supervisor) == sequential_history

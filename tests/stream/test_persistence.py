@@ -300,7 +300,7 @@ class TestWatchResume:
         first.run(2.0 * 3600.0)
         del first
         second = self._supervisor(state)
-        second.tick()
+        second.run(second.chunk_s)
         with pytest.raises(ValueError, match="before any tick"):
             second.resume()
 

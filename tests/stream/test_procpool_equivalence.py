@@ -1,14 +1,15 @@
-"""Cross-backend equivalence: threads, processes, and the barriered tick.
+"""Cross-backend equivalence: threads, processes, and a perturbed schedule.
 
 The process-backed pool must be *semantically invisible*, exactly like the
 barrier-free runtime before it: a seeded 16-environment fleet supervised on
 ``ProcessWorkerPool`` workers (simulators and detectors hydrated in worker
 processes, JSON deltas crossing the boundary) must produce byte-for-byte
-the incident history of the barriered ``tick`` loop and of the thread-pool
-``run()`` path — and a run stopped mid-flight must resume **on the other
-backend** into the identical history, both directions.  Fleet correlation
-rides the same guarantee: shared-fabric runs must group, rank, and
-short-circuit identically across backends.
+the incident history of the reference schedule (one worker, every pool
+task delayed by perturbation seed 0) and of the thread-pool ``run()`` path
+— and a run stopped mid-flight must resume **on the other backend** into
+the identical history, both directions.  Fleet correlation rides the same
+guarantee: shared-fabric runs must group, rank, and short-circuit
+identically across backends.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.cli import SCENARIOS
 from repro.correlate import fabric_shared_pool_saturation
 from repro.runtime import ProcessWorkerPool
 from repro.stream import FleetSupervisor
+
+from .conftest import PerturbedPool
 
 HOURS = 6.0
 
@@ -86,33 +89,30 @@ def proc_pool():
 
 
 @pytest.fixture(scope="module")
-def tick_history():
-    """Ground truth: the 16-env fleet under the barriered sequential tick."""
-    supervisor = _supervisor(SIXTEEN, max_workers=1)
-    elapsed = 0.0
-    while elapsed < HOURS * 3600.0:
-        step = min(supervisor.chunk_s, HOURS * 3600.0 - elapsed)
-        supervisor.tick(step)
-        elapsed += step
+def perturbed_reference():
+    """Ground truth: the 16-env fleet on one worker, perturbation seed 0."""
+    with PerturbedPool(0, max_workers=1) as pool:
+        supervisor = _supervisor(SIXTEEN, pool=pool, max_workers=1)
+        supervisor.run(HOURS * 3600.0)
     history = _history(supervisor)
     assert json.loads(history), "seeded fleet must open incidents"
     return history
 
 
 class TestBackendEquivalence:
-    def test_thread_backend_matches_tick(self, tick_history):
+    def test_threads_match_reference(self, perturbed_reference):
         supervisor = _supervisor(SIXTEEN)
         supervisor.run(HOURS * 3600.0)
-        assert _history(supervisor) == tick_history
+        assert _history(supervisor) == perturbed_reference
 
-    def test_process_backend_matches_tick(self, tick_history, proc_pool):
+    def test_processes_match_reference(self, perturbed_reference, proc_pool):
         supervisor = _supervisor(SIXTEEN, pool=proc_pool)
         # The hydration specs really routed every member to a worker proxy.
         assert all(
             getattr(w, "is_remote", False) for w in supervisor.watched.values()
         )
         supervisor.run(HOURS * 3600.0)
-        assert _history(supervisor) == tick_history
+        assert _history(supervisor) == perturbed_reference
         assert supervisor.advanced_s == HOURS * 3600.0
         stats = proc_pool.stats()
         assert stats["affinity_keys"] == len(SIXTEEN)

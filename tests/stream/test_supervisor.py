@@ -146,10 +146,6 @@ class TestStaggeredDualFaults:
 
 
 class TestSupervisorMechanics:
-    def test_tick_without_environments_raises(self):
-        with pytest.raises(ValueError):
-            FleetSupervisor().tick()
-
     def test_worker_sizing_never_zero(self):
         """Regression: `max_workers or min(8, len(fleet))` was 0 for an
         empty fleet, so any pool-sized code path (resume fast-forward, a
@@ -163,22 +159,6 @@ class TestSupervisorMechanics:
         # pool-construction crash.
         with pytest.raises(ValueError, match="no environments watched"):
             supervisor.run(3600.0)
-
-    def test_run_and_tick_share_event_free_semantics(self):
-        """run() with no observers equals the tick loop (sanity alongside
-        tests/stream/test_async_equivalence.py which proves it at depth)."""
-        a = FleetSupervisor()
-        a.watch_scenario(scenario_lock_contention(hours=2.0))
-        a.run(2.0 * 3600.0)
-        b = FleetSupervisor()
-        b.watch_scenario(scenario_lock_contention(hours=2.0))
-        elapsed = 0.0
-        while elapsed < 2.0 * 3600.0:
-            b.tick()
-            elapsed += b.chunk_s
-        assert [i.to_dict() for i in a.incidents()] == [
-            i.to_dict() for i in b.incidents()
-        ]
 
     def test_duplicate_watch_name_rejected(self):
         supervisor = FleetSupervisor()
