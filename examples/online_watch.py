@@ -17,7 +17,7 @@ CLI:  python -m repro.cli watch --hours 8
 """
 
 from repro import FleetSupervisor
-from repro.cli import DEFAULT_WATCH_FLEET, SCENARIOS
+from repro.fleets import DEFAULT_WATCH_FLEET, SCENARIOS
 
 HOURS = 8.0
 

@@ -29,7 +29,9 @@ environment on its own clock, slow diagnoses overlapping the rest of the
 fleet (cap them with ``--max-inflight-diagnoses``) — detectors open
 incidents without any manual run-marking, and every incident is
 auto-diagnosed; the fleet table refreshes per runtime event (or stream the
-final state with ``--json``).  With
+final state with ``--json``).  Its arguments become a
+:class:`~repro.fleets.FleetSpec`, the validator and builder ``serve`` uses
+for every tenant's fleet.  With
 ``--state-dir`` the incident history and detector state are journalled
 durably and a killed run resumes from its last checkpoint; ``incidents``
 queries that history afterwards — across any number of restarts.
@@ -63,58 +65,9 @@ from .core.evaluation import evaluate_bundle
 from .core.pipeline import DiagnosisRequest, default_pipeline, diagnosable_queries
 from .core.report import render_apg_browser, render_apg_overview, render_query_table
 from .core.serialize import report_to_dict
-from .correlate import (
-    CorrelationEngine,
-    FleetIncidentStore,
-    fabric_coincidental_independent_faults,
-    fabric_shared_pool_saturation,
-    fabric_shared_switch_degradation,
-)
-from .lab import (
-    all_table1_scenarios,
-    scenario_buffer_pool,
-    scenario_concurrent_db_san,
-    scenario_cpu_saturation,
-    scenario_data_property_change,
-    scenario_flapping_san_misconfiguration,
-    scenario_healthy,
-    scenario_lock_contention,
-    scenario_plan_regression,
-    scenario_raid_rebuild,
-    scenario_san_misconfiguration,
-    scenario_staggered_dual_faults,
-    scenario_switch_degradation,
-    scenario_two_external_workloads,
-)
-from .stream import FleetSupervisor
-
-SCENARIOS = {
-    "san-misconfiguration": scenario_san_misconfiguration,
-    "san-misconfiguration-v2-burst": lambda **kw: scenario_san_misconfiguration(
-        with_v2_burst=True, **kw
-    ),
-    "two-external-workloads": scenario_two_external_workloads,
-    "data-property-change": scenario_data_property_change,
-    "concurrent-db-san": scenario_concurrent_db_san,
-    "lock-contention": scenario_lock_contention,
-    "plan-regression": scenario_plan_regression,
-    "cpu-saturation": scenario_cpu_saturation,
-    "buffer-pool-thrashing": scenario_buffer_pool,
-    "raid-rebuild": scenario_raid_rebuild,
-    "flapping-san-misconfiguration": scenario_flapping_san_misconfiguration,
-    "staggered-dual-faults": scenario_staggered_dual_faults,
-    "healthy-baseline": scenario_healthy,
-    "switch-degradation": scenario_switch_degradation,
-}
-
-#: Fleet scenarios: shared fabrics of many environments.  Naming one in
-#: ``repro watch`` expands it into its member environments and enables the
-#: cross-environment correlator automatically.
-FLEET_SCENARIOS = {
-    "shared-pool-saturation": fabric_shared_pool_saturation,
-    "shared-switch-degradation": fabric_shared_switch_degradation,
-    "coincidental-independent-faults": fabric_coincidental_independent_faults,
-}
+from .correlate import FleetIncidentStore
+from .fleets import DEFAULT_WATCH_FLEET, FLEET_SCENARIOS, SCENARIOS, FleetSpec
+from .lab import all_table1_scenarios
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,26 +470,25 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The stock ``repro watch`` fleet: three persistent faults + one flapping.
-DEFAULT_WATCH_FLEET = (
-    "san-misconfiguration",
-    "flapping-san-misconfiguration",
-    "lock-contention",
-    "data-property-change",
-)
-
-
 def cmd_watch(args: argparse.Namespace) -> int:
-    names = args.scenarios or list(DEFAULT_WATCH_FLEET)
-    unknown = [
-        n for n in names if n not in SCENARIOS and n not in FLEET_SCENARIOS
-    ]
-    if unknown:
-        print(f"unknown scenarios: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    duplicates = sorted({n for n in names if names.count(n) > 1})
-    if duplicates:
-        print(f"duplicate scenarios: {', '.join(duplicates)}", file=sys.stderr)
+    # One validator and one builder for `repro watch` and `repro serve`:
+    # the command line becomes a FleetSpec payload.
+    try:
+        spec = FleetSpec.from_payload(
+            {
+                "scenarios": args.scenarios or list(DEFAULT_WATCH_FLEET),
+                "hours": args.hours,
+                "seed": args.seed,
+                "chunk_minutes": args.chunk_minutes,
+                "cooldown_minutes": args.cooldown_minutes,
+                "max_inflight_diagnoses": args.max_inflight_diagnoses,
+                "correlation_window_minutes": args.correlation_window_minutes,
+                "min_members": args.min_members,
+                "max_workers": args.max_workers,
+            }
+        )
+    except ValueError as exc:
+        print(f"invalid watch configuration: {exc}", file=sys.stderr)
         return 2
 
     if args.stats:
@@ -546,117 +498,32 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
         obs_enable()
 
-    # Fleet scenarios expand into their member environments and enable the
-    # cross-environment correlator, keyed by the merged membership map.
-    fabrics = []
-    for name in names:
-        if name in FLEET_SCENARIOS:
-            kwargs = {"hours": args.hours}
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            fabrics.append((name, FLEET_SCENARIOS[name](**kwargs)))
-    correlator = None
-    if fabrics:
-        # Same-named components in different fleet scenarios are DIFFERENT
-        # physical components (each fabric is its own set of simulators);
-        # merging them would correlate unrelated environments.
-        membership: dict[str, tuple[str, ...]] = {}
-        for _fabric_name, fabric in fabrics:
-            for component, members in fabric.membership().items():
-                if component in membership:
-                    print(
-                        f"fleet scenarios conflict: shared component "
-                        f"{component!r} is declared by more than one fleet "
-                        "scenario (same-named components in different "
-                        "fabrics are physically distinct) — watch them in "
-                        "separate runs / state dirs",
-                        file=sys.stderr,
-                    )
-                    return 2
-                membership[component] = tuple(members)
-        try:
-            correlator = CorrelationEngine(
-                membership,
-                window_s=args.correlation_window_minutes * 60.0,
-                min_members=args.min_members,
-                store=(
-                    FleetIncidentStore.open(args.state_dir)
-                    if args.state_dir is not None
-                    else None
-                ),
-            )
-        except ValueError as exc:
-            print(f"invalid correlation configuration: {exc}", file=sys.stderr)
-            return 2
-
     # Resolve the pool backend against the actual fleet size: `auto` only
     # pays the process-handoff cost when there are enough environments (and
     # cores) for parallel simulation to win.
     from .runtime import resolve_pool_backend, shared_pool
 
-    fleet_size = sum(len(fabric.members) for _n, fabric in fabrics) + sum(
-        1 for n in names if n not in FLEET_SCENARIOS
-    )
     try:
-        pool_backend = resolve_pool_backend(args.pool, fleet_size=fleet_size)
+        pool_backend = resolve_pool_backend(
+            args.pool, fleet_size=len(spec.member_names())
+        )
     except ValueError as exc:
         print(f"invalid pool configuration: {exc}", file=sys.stderr)
         return 2
-    pool = shared_pool(backend=pool_backend)
 
     try:
-        supervisor = FleetSupervisor(
-            chunk_s=args.chunk_minutes * 60.0,
-            max_workers=args.max_workers,
-            cooldown_s=args.cooldown_minutes * 60.0,
+        supervisor = spec.build(
             state_dir=args.state_dir,
-            pool=pool,
-            max_inflight_diagnoses=args.max_inflight_diagnoses,
-            correlator=correlator,
+            pool=shared_pool(backend=pool_backend),
             max_skew_s=(
                 args.max_skew_minutes * 60.0
                 if args.max_skew_minutes is not None
                 else None
             ),
-            checkpoint_meta={
-                "scenarios": list(names),
-                "hours": args.hours,
-                "seed": args.seed,
-                "chunk_minutes": args.chunk_minutes,
-                "cooldown_minutes": args.cooldown_minutes,
-                **(
-                    {
-                        "correlation_window_minutes": args.correlation_window_minutes,
-                        "min_members": args.min_members,
-                    }
-                    if correlator is not None
-                    else {}
-                ),
-            },
         )
     except ValueError as exc:
         print(f"invalid watch configuration: {exc}", file=sys.stderr)
         return 2
-    # Hydration specs carry each environment's registry identity (the same
-    # keys checkpoint_meta records); under a process pool the supervisor uses
-    # them to build and simulate environments inside sticky workers, and
-    # under threads they are ignored.
-    for fabric_name, fabric in fabrics:
-        fabric.watch_all(
-            supervisor,
-            hydration={"fleet": fabric_name, "hours": args.hours, "seed": args.seed},
-        )
-    for name in names:
-        if name in FLEET_SCENARIOS:
-            continue
-        kwargs = {"hours": args.hours}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        supervisor.watch_scenario(
-            SCENARIOS[name](**kwargs),
-            name=name,
-            hydration={"scenario": name, "hours": args.hours, "seed": args.seed},
-        )
 
     resumed_s = 0.0
     if supervisor.has_checkpoint():
@@ -811,10 +678,10 @@ def cmd_watch(args: argparse.Namespace) -> int:
             f"\n{len(supervisor.incidents())} incident(s), {len(diagnosed)} "
             f"diagnosed across {len(supervisor.watched)} environment(s)"
         )
-        if correlator is not None:
+        if supervisor.correlator is not None:
             summary += (
-                f"; {len(correlator.fleet_incidents())} fleet incident(s) "
-                "correlated"
+                f"; {len(supervisor.correlator.fleet_incidents())} fleet "
+                "incident(s) correlated"
             )
         print(summary)
         if args.stats:

@@ -5,8 +5,9 @@ coordination loop:
 
 * :mod:`repro.serve.tenants` — tenant ids → keyspace prefixes, durable
   manifest (the restart source of truth);
-* :mod:`repro.serve.fleets` — validated fleet specs (the POST body), built
-  into :class:`~repro.stream.FleetSupervisor` stacks per tenant;
+* :class:`~repro.fleets.FleetSpec` — the validated fleet spec (the POST
+  body), built into a :class:`~repro.stream.FleetSupervisor` stack per
+  tenant by the same builder ``repro watch`` uses;
 * :mod:`repro.serve.http` — a minimal asyncio HTTP/1.1 server (no
   ``http.server``, no threads-per-request);
 * :mod:`repro.serve.api` — the REST/JSON routes;
@@ -19,7 +20,7 @@ Start it with ``repro serve --state-root DIR --port N``.
 """
 
 from .app import SERVE_MANIFEST, ServeApp, WatchSession
-from .fleets import FleetSpec, scenario_catalog
+from ..fleets import FleetSpec, scenario_catalog
 from .stream import SseBroker, SseClient, sse_frame
 from .tenants import Tenant, TenantRegistry
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .fleets import FleetSpec, scenario_catalog
+from ..fleets import FleetSpec, scenario_catalog
 from .http import HttpError, Request, Response, Router, StreamingResponse
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -29,11 +29,11 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..fleets import FleetSpec
 from ..obs import metrics as obs_metrics
 from ..runtime import Scheduler, resolve_pool_backend, shared_pool
 from ..storage import JsonlBackend, MemoryBackend, SqliteBackend
 from ..storage.backend import atomic_write_json
-from .fleets import FleetSpec
 from .http import HttpServer
 from .stream import SseBroker
 from .tenants import Tenant, TenantRegistry

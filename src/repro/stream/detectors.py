@@ -50,6 +50,7 @@ __all__ = [
     "ResponseTimeSloDetector",
     "DetectorBank",
     "default_detector_factory",
+    "watch_detectors",
 ]
 
 
@@ -639,3 +640,26 @@ def default_detector_factory(
         )
 
     return factory
+
+
+def watch_detectors(
+    query_name: str,
+    *,
+    slo_factor: float,
+    baseline_runs: int,
+    recovery: bool,
+    factory: DetectorFactory | None = None,
+) -> tuple[DetectorBank, ResponseTimeSloDetector]:
+    """One watched environment's metric-stream bank (``factory``, default:
+    the stock policy) and run-stream SLO detector, in thread mode and in
+    process-pool workers alike, so their checkpoints are interchangeable."""
+    bank = DetectorBank(
+        factory=factory or default_detector_factory(emit_recovery=recovery)
+    )
+    run_detector = ResponseTimeSloDetector(
+        factor=slo_factor,
+        baseline_runs=baseline_runs,
+        query_name=query_name,
+        emit_recovery=recovery,
+    )
+    return bank, run_detector

@@ -43,6 +43,7 @@ __all__ = [
     "Incident",
     "IncidentManager",
     "IncidentStore",
+    "status_row",
 ]
 
 
@@ -370,6 +371,33 @@ class IncidentManager:
 
     def __len__(self) -> int:
         return len(self.incidents)
+
+
+def status_row(
+    watched, runs: int, verified: bool | None, identified: bool | None
+) -> dict:
+    """The fleet-table row of a local or process-backed watched environment;
+    ``verified``/``identified`` grade its latest report (None: ungraded)."""
+    manager = watched.manager
+    incidents = manager.incidents
+    last = incidents[-1] if incidents else None
+    return {
+        "env": watched.name,
+        "query": watched.query_name,
+        "clock": watched.env.clock,
+        "runs": runs,
+        "detections": sum(len(i.detections) for i in incidents)
+        + manager.suppressed,
+        "incidents": len(incidents),
+        "open": len(manager.open_incidents()) + len(manager.diagnosing_incidents()),
+        "suppressed": manager.suppressed,
+        "state": last.state.value if last is not None else "healthy",
+        "severity": last.severity.value if last is not None else "-",
+        "top_cause": last.top_cause_id if last is not None else None,
+        "ground_truth": watched.info.ground_truth if watched.info is not None else (),
+        "verified": verified,
+        "identified": identified,
+    }
 
 
 class IncidentStore(JournalStore):

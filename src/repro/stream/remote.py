@@ -5,12 +5,17 @@
 path — the drive loop, checkpointing, resume, fleet correlation — runs
 unchanged.  The split of responsibilities:
 
-* **Worker process** (:mod:`repro.stream.worker`): the simulator and the
-  per-sample streaming detectors — the CPU-bound 99%.  Pinned by sticky
-  affinity (``affinity=<watch name>``) so state hydrates once and stays warm.
+* **Worker process** (:mod:`repro.stream.worker`): a hydrated
+  ``WatchedEnvironment`` — the simulator and the per-sample streaming
+  detectors, the CPU-bound 99%.  Pinned by sticky affinity
+  (``affinity=<watch name>``) so state hydrates once and stays warm.
 * **Parent process** (this module): the incident manager, correlator feeds,
   event log, and checkpoint snapshots — the sequential bookkeeping whose
-  byte-for-byte determinism the resume guarantee rests on.
+  byte-for-byte determinism the resume guarantee rests on.  Both sides
+  build their detectors through
+  :func:`~repro.stream.detectors.watch_detectors`, and both environment
+  classes render their fleet-table row through
+  :func:`~repro.stream.incidents.status_row`.
 
 What crosses the boundary per iteration is the compact delta from
 ``advance_env``: detections (rebuilt via ``Detection.from_dict`` — lossless
@@ -30,13 +35,8 @@ from dataclasses import dataclass
 from ..lab.environment import DiagnosisBundle
 from ..lab.scenarios import ScenarioInfo
 from ..runtime.procpool import ProcessWorkerPool
-from .detectors import (
-    Detection,
-    DetectorBank,
-    ResponseTimeSloDetector,
-    default_detector_factory,
-)
-from .incidents import IncidentManager
+from .detectors import Detection, watch_detectors
+from .incidents import IncidentManager, status_row
 
 __all__ = ["RemoteWatchedEnvironment", "RemoteDiagnosisRequest", "RemoteReport"]
 
@@ -44,6 +44,16 @@ ADVANCE_TASK = "repro.stream.worker:advance_env"
 DIAGNOSE_TASK = "repro.stream.worker:diagnose_env"
 BUNDLE_TASK = "repro.stream.worker:bundle_env"
 LOAD_TASK = "repro.stream.worker:load_detectors"
+
+
+def detector_config(spec: dict) -> dict:
+    """The :func:`~repro.stream.detectors.watch_detectors` keywords of a
+    hydration spec (supervisor defaults for keys it lacks)."""
+    return {
+        "slo_factor": float(spec.get("slo_factor", 1.3)),
+        "baseline_runs": int(spec.get("baseline_runs", 4)),
+        "recovery": bool(spec.get("recovery", False)),
+    }
 
 
 @dataclass
@@ -163,22 +173,9 @@ class RemoteWatchedEnvironment:
         # Fresh local detectors supply the pre-first-iteration state dicts —
         # the checkpoint written before an environment's first advance must
         # match what thread mode snapshots for a just-built fleet.
-        recovery = bool(self.spec.get("recovery", False))
-        self.bank = _RemoteDetectorState(
-            self,
-            DetectorBank(
-                factory=default_detector_factory(emit_recovery=recovery)
-            ).state_dict(),
-        )
-        self.run_detector = _RemoteDetectorState(
-            self,
-            ResponseTimeSloDetector(
-                factor=float(self.spec.get("slo_factor", 1.3)),
-                baseline_runs=int(self.spec.get("baseline_runs", 4)),
-                query_name=query_name,
-                emit_recovery=recovery,
-            ).state_dict(),
-        )
+        bank, run_detector = watch_detectors(query_name, **detector_config(spec))
+        self.bank = _RemoteDetectorState(self, bank.state_dict())
+        self.run_detector = _RemoteDetectorState(self, run_detector.state_dict())
 
     # -- chunk lifecycle -------------------------------------------------
     def advance(self, chunk_s: float) -> list[Detection]:
@@ -225,7 +222,7 @@ class RemoteWatchedEnvironment:
 
     # -- reporting -------------------------------------------------------
     def status(self) -> dict:
-        """One fleet-table row; mirrors ``WatchedEnvironment.status``.
+        """One fleet-table row, graded by the worker.
 
         ``verified``/``identified`` come from the worker-side grading cached
         when the incident resolved; incidents resolved without a worker
@@ -233,30 +230,9 @@ class RemoteWatchedEnvironment:
         the same answer thread mode gives for a report-less incident.
         """
         incidents = self.manager.incidents
-        last = incidents[-1] if incidents else None
-        top = last.top_cause_id if last is not None else None
-        ground_truth = self.info.ground_truth if self.info is not None else ()
-        verified = identified = None
-        if last is not None and self.info is not None:
-            evaluation = self._evaluations.get(last.incident_id)
-            if evaluation is not None:
-                verified = evaluation.get("verified")
-                identified = evaluation.get("identified")
-        return {
-            "env": self.name,
-            "query": self.query_name,
-            "clock": self._clock,
-            "runs": self._runs,
-            "detections": sum(len(i.detections) for i in incidents)
-            + self.manager.suppressed,
-            "incidents": len(incidents),
-            "open": len(self.manager.open_incidents())
-            + len(self.manager.diagnosing_incidents()),
-            "suppressed": self.manager.suppressed,
-            "state": last.state.value if last is not None else "healthy",
-            "severity": last.severity.value if last is not None else "-",
-            "top_cause": top,
-            "ground_truth": ground_truth,
-            "verified": verified,
-            "identified": identified,
-        }
+        evaluation: dict = {}
+        if incidents and self.info is not None:
+            evaluation = self._evaluations.get(incidents[-1].incident_id, {})
+        return status_row(
+            self, self._runs, evaluation.get("verified"), evaluation.get("identified")
+        )

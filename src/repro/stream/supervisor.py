@@ -61,10 +61,10 @@ from .detectors import (
     Detection,
     DetectorBank,
     ResponseTimeSloDetector,
-    default_detector_factory,
+    watch_detectors,
 )
 from .eventlog import FleetEventLog
-from .incidents import Incident, IncidentManager, IncidentState, IncidentStore
+from .incidents import Incident, IncidentManager, IncidentStore, status_row
 from .remote import RemoteDiagnosisRequest, RemoteReport, RemoteWatchedEnvironment
 
 __all__ = ["WatchedEnvironment", "FleetSupervisor", "FleetEvent"]
@@ -139,49 +139,32 @@ class WatchedEnvironment:
         return DiagnosisRequest(self.env.bundle(), self.query_name)
 
     # -- reporting -------------------------------------------------------
-    def status(self) -> dict:
-        """One fleet-table row.
+    def grade(self, report) -> tuple[bool, bool]:
+        """Grade a report against the scenario ground truth (``info`` set).
 
-        When scenario ground truth is known, the latest attached report is
-        graded through :func:`repro.core.evaluation.evaluate_report` — the
-        same rules as the offline sweep.  ``verified`` means the top-ranked
-        cause is an injected one; ``identified`` is the sweep's stricter
-        verdict (every injected cause also at high confidence).
+        Same rules as the offline sweep
+        (:func:`repro.core.evaluation.evaluate_report`): ``verified`` means
+        the top-ranked cause is an injected one; ``identified`` is the
+        sweep's stricter verdict (every injected cause also at high
+        confidence).
         """
+        evaluation = evaluate_report(
+            ScenarioBundle(
+                info=self.info, bundle=self.env.bundle(), query_name=self.query_name
+            ),
+            report,
+        )
+        return evaluation.top_cause in evaluation.ground_truth, evaluation.identified
+
+    def status(self) -> dict:
+        """One fleet-table row; the latest attached report is graded."""
         incidents = self.manager.incidents
         last = incidents[-1] if incidents else None
-        top = last.top_cause_id if last is not None else None
-        ground_truth = self.info.ground_truth if self.info is not None else ()
         verified = identified = None
         if last is not None and last.report is not None and self.info is not None:
-            evaluation = evaluate_report(
-                ScenarioBundle(
-                    info=self.info,
-                    bundle=self.env.bundle(),
-                    query_name=self.query_name,
-                ),
-                last.report,
-            )
-            verified = evaluation.top_cause in evaluation.ground_truth
-            identified = evaluation.identified
-        return {
-            "env": self.name,
-            "query": self.query_name,
-            "clock": self.env.clock,
-            "runs": len(self.env.stores.runs.runs(self.query_name)),
-            "detections": sum(len(i.detections) for i in incidents)
-            + self.manager.suppressed,
-            "incidents": len(incidents),
-            "open": len(self.manager.open_incidents())
-            + len(self.manager.diagnosing_incidents()),
-            "suppressed": self.manager.suppressed,
-            "state": last.state.value if last is not None else "healthy",
-            "severity": last.severity.value if last is not None else "-",
-            "top_cause": top,
-            "ground_truth": ground_truth,
-            "verified": verified,
-            "identified": identified,
-        }
+            verified, identified = self.grade(last.report)
+        runs = len(self.env.stores.runs.runs(self.query_name))
+        return status_row(self, runs, verified, identified)
 
 
 class FleetSupervisor:
@@ -361,20 +344,19 @@ class FleetSupervisor:
         """Put one environment under supervision."""
         if name in self.watched:
             raise ValueError(f"environment {name!r} already watched")
+        bank, run_detector = watch_detectors(
+            query_name,
+            slo_factor=self.slo_factor,
+            baseline_runs=self.baseline_runs,
+            recovery=self.recovery,
+            factory=detector_factory,
+        )
         watched = WatchedEnvironment(
             name=name,
             env=env,
             query_name=query_name,
-            bank=DetectorBank(
-                factory=detector_factory
-                or default_detector_factory(emit_recovery=self.recovery)
-            ),
-            run_detector=ResponseTimeSloDetector(
-                factor=self.slo_factor,
-                baseline_runs=self.baseline_runs,
-                query_name=query_name,
-                emit_recovery=self.recovery,
-            ),
+            bank=bank,
+            run_detector=run_detector,
             manager=IncidentManager(
                 name, cooldown_s=self.cooldown_s, store=self.incident_store
             ),
@@ -485,6 +467,11 @@ class FleetSupervisor:
         come back from ``advanced`` feeds and
         :meth:`~repro.correlate.CorrelationEngine.finalize` — so nothing
         here drills down.
+
+        A resolve's ``clock`` is the environment clock, a chunk boundary;
+        a fleet short-circuit resolve carries its ``resolved_at`` instead,
+        because the member clock at which it noticed the fleet decision
+        depends on how the runtime interleaved the fleet.
         """
         event = {
             "type": f"incident_{transition}",
@@ -501,7 +488,9 @@ class FleetSupervisor:
                 top_cause=incident.top_cause_id,
                 **extra,
                 resolved_at=incident.resolved_at,
-                clock=watched.env.clock,
+                clock=(
+                    incident.resolved_at if extra.get("fleet") else watched.env.clock
+                ),
             )
         if self.correlator is not None:
             self.correlator.observe(event)

@@ -37,13 +37,14 @@ def pool_run():
     engine = fabric.correlator()
     supervisor = FleetSupervisor(correlator=engine, cooldown_s=HOURS * 3600.0)
     fabric.watch_all(supervisor)
-    supervisor.run(HOURS * 3600.0)
-    return fabric, engine, supervisor
+    events: list[dict] = []
+    supervisor.run(HOURS * 3600.0, on_event=events.append)
+    return fabric, engine, supervisor, events
 
 
 class TestSharedPoolSaturation:
     def test_one_fleet_incident_groups_all_affected_members(self, pool_run):
-        fabric, engine, _sup = pool_run
+        fabric, engine, _sup, _events = pool_run
         groups = engine.fleet_incidents()
         assert len(groups) == 1
         group = groups[0]
@@ -51,7 +52,7 @@ class TestSharedPoolSaturation:
         assert sorted(group.member_envs) == sorted(fabric.membership()["P1"])
 
     def test_top_ranked_cause_is_the_shared_pool(self, pool_run):
-        _fabric, engine, _sup = pool_run
+        _fabric, engine, _sup, _events = pool_run
         group = engine.fleet_incidents()[0]
         assert group.top_cause_id == "shared-component:P1"
         causes = group.report_data["causes"]
@@ -62,7 +63,7 @@ class TestSharedPoolSaturation:
         assert by_id["P1"]["coverage"] == pytest.approx(1.0)
 
     def test_confidence_and_lifecycle(self, pool_run):
-        _fabric, engine, _sup = pool_run
+        _fabric, engine, _sup, _events = pool_run
         group = engine.fleet_incidents()[0]
         assert group.confidence >= 0.9  # six quiet members firing together
         assert group.state is FleetIncidentState.RESOLVED
@@ -70,7 +71,7 @@ class TestSharedPoolSaturation:
 
     def test_member_incidents_short_circuited_with_fleet_report(self, pool_run):
         """One fleet report instead of N redundant per-member diagnoses."""
-        fabric, engine, supervisor = pool_run
+        fabric, engine, supervisor, _events = pool_run
         group = engine.fleet_incidents()[0]
         member_ids = set(group.member_incident_ids)
         assert member_ids  # several incidents per member (metric + SLO)
@@ -88,15 +89,28 @@ class TestSharedPoolSaturation:
                 incident.opened_at, group.opened_at
             )
 
+    def test_fleet_resolves_are_emitted_at_their_resolve_time(self, pool_run):
+        """A short-circuit resolve's event ``clock`` is its deterministic
+        ``resolved_at``, not the member clock at which the member noticed
+        the fleet decision (that depends on how the fleet interleaved)."""
+        *_, events = pool_run
+        fleet_resolves = [
+            e for e in events if e["type"] == "incident_resolved" and e.get("fleet")
+        ]
+        assert fleet_resolves
+        assert [e["clock"] for e in fleet_resolves] == [
+            e["resolved_at"] for e in fleet_resolves
+        ]
+
     def test_unattached_members_stay_healthy(self, pool_run):
-        fabric, _engine, supervisor = pool_run
+        fabric, _engine, supervisor, _events = pool_run
         attached = set(fabric.membership()["P1"])
         for name, watched in supervisor.watched.items():
             if name not in attached:
                 assert len(watched.manager.incidents) == 0
 
     def test_rollup_surfaces(self, pool_run):
-        _fabric, _engine, supervisor = pool_run
+        _fabric, _engine, supervisor, _events = pool_run
         table = supervisor.render_table()
         assert "fleet incident" in table
         assert "FLEET-P1-1" in table
