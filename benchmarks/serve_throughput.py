@@ -41,7 +41,7 @@ FLEET_SPEC = {
 
 class _Server:
     def __init__(self, root) -> None:
-        self.app = ServeApp(root, backend="memory", sse_backlog=256)
+        self.app = ServeApp(root, sse_backlog=256)
         self.thread = threading.Thread(
             target=self.app.serve_forever, args=("127.0.0.1", 0), daemon=True
         )

@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     client = Client(*discover(args))
 
     health = client.expect("GET", "/healthz")
-    print(f"server ok: backend={health['backend']} tenants={health['tenants']}")
+    print(f"server ok: tenants={health['tenants']}")
 
     client.expect("POST", "/v1/tenants", {"tenant_id": args.tenant}, ok=(201, 409))
     spec = dict(FLEET_SPEC, hours=args.hours)

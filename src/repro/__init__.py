@@ -18,8 +18,8 @@ An integrated database + SAN diagnosis library.  The package is organised as:
   fleet supervisor that closes the detect→diagnose loop with no human
   marking (each environment advances on its own clock; slow diagnoses
   overlap the rest of the fleet),
-* :mod:`repro.storage` — one pluggable backend protocol (memory +
-  crash-safe JSONL + indexed sqlite) under every store, and lossless
+* :mod:`repro.storage` — one pluggable backend protocol (memory + the
+  crash-safe JSONL journal) under every store, and lossless
   serializers for persistence (``DiagnosisBundle.save()/load()``,
   ``repro watch --state-dir`` resume).
 
@@ -112,12 +112,7 @@ from .correlate import (
 )
 from .runtime import ClockVector, Scheduler, TaskQueue, WorkerPool, shared_pool
 from .monitor import MonitoringStores
-from .storage import (
-    JsonlBackend,
-    MemoryBackend,
-    SqliteBackend,
-    StorageBackend,
-)
+from .storage import JsonlBackend, MemoryBackend, StorageBackend
 from . import obs
 
 __version__ = "0.10.0"
@@ -181,7 +176,6 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "JsonlBackend",
-    "SqliteBackend",
     "MonitoringStores",
     "WorkerPool",
     "shared_pool",

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--state-root", required=True, metavar="DIR",
         help=(
-            "root directory for the service: shared storage backend, tenant "
+            "root directory for the service: the shared JSONL store, tenant "
             "manifest, and per-tenant watch checkpoints all live here; a "
             "restarted server resumes every tenant's running watch from it"
         ),
@@ -311,10 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8787,
         help="TCP port (0 picks a free one; the bound port lands in "
         "DIR/serve.json)",
-    )
-    serve.add_argument(
-        "--backend", default="jsonl", choices=["jsonl", "sqlite"],
-        help="shared storage backend under the state root (default: jsonl)",
     )
     serve.add_argument(
         "--sse-backlog", type=int, default=128, metavar="N",
@@ -967,17 +963,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeApp
 
     try:
-        app = ServeApp(
-            args.state_root,
-            backend=args.backend,
-            sse_backlog=args.sse_backlog,
-            pool=args.pool,
-        )
+        app = ServeApp(args.state_root, sse_backlog=args.sse_backlog, pool=args.pool)
     except ValueError as exc:
-        print(f"invalid pool configuration: {exc}", file=sys.stderr)
+        print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     print(
-        f"repro serve: state root {app.state_root} ({args.backend}), "
+        f"repro serve: state root {app.state_root}, "
         f"binding {args.host}:{args.port} ...",
         flush=True,
     )

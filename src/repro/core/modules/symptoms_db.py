@@ -35,9 +35,6 @@ class SDResult(ModuleResult):
     def high_confidence(self) -> list[RootCauseMatch]:
         return [m for m in self.matches if m.confidence.value == "high"]
 
-    def medium_confidence(self) -> list[RootCauseMatch]:
-        return [m for m in self.matches if m.confidence.value == "medium"]
-
     def match(self, cause_id: str) -> RootCauseMatch:
         for m in self.matches:
             if m.cause_id == cause_id:

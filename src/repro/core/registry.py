@@ -107,9 +107,6 @@ class ModuleRegistry:
         self._factories[key] = factory
         return factory
 
-    def unregister(self, name: str) -> None:
-        self._factories.pop(name, None)
-
     # -- lookup ---------------------------------------------------------
     def factory(self, name: str) -> ModuleFactory:
         try:

@@ -644,15 +644,6 @@ class CorrelationEngine:
                 return "independent"
             return "pending"
 
-    def report_for(self, incident_id: str) -> dict | None:
-        """The fleet report covering a grouped member incident (None until
-        the drill-down has attached one)."""
-        with self._lock:
-            fleet_id = self._member_group.get(incident_id)
-            if fleet_id is None:
-                return None
-            return self._groups[fleet_id].report_data
-
     def short_circuit(self, incident_id: str) -> tuple[str, float, dict] | None:
         """Short-circuit ticket for one grouped member incident.
 
@@ -679,10 +670,6 @@ class CorrelationEngine:
             group.report_data = report_data
             self._journal("report", group, group.opened_at)
 
-    def group_of(self, incident_id: str) -> str | None:
-        with self._lock:
-            return self._member_group.get(incident_id)
-
     def group_for_env(self, env: str) -> str | None:
         """The latest fleet incident one of ``env``'s incidents belongs to."""
         with self._lock:
@@ -704,11 +691,6 @@ class CorrelationEngine:
             return sorted(
                 self._groups.values(), key=lambda g: (g.opened_at, g.fleet_id)
             )
-
-    def open_fleet_incidents(self) -> list[FleetIncident]:
-        return [
-            g for g in self.fleet_incidents() if g.state is FleetIncidentState.OPEN
-        ]
 
     def to_dict(self) -> list[dict]:
         return [g.to_dict() for g in self.fleet_incidents()]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 __all__ = ["Column", "Table", "Index", "Tablespace", "Catalog", "CatalogError", "PAGE_SIZE"]
 
@@ -241,8 +240,3 @@ class Catalog:
         for i in self._indexes.values():
             other.create_index(replace(i))
         return other
-
-
-def make_columns(specs: Iterable[tuple[str, int]]) -> dict[str, Column]:
-    """Helper: build a column dict from (name, ndv) pairs."""
-    return {name: Column(name=name, ndv=ndv) for name, ndv in specs}

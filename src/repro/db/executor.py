@@ -119,14 +119,6 @@ class QueryRun:
         """op_id → actual output record count (Module CR's input)."""
         return {op_id: rt.actual_rows for op_id, rt in self.operators.items()}
 
-    def volume_io_time(self) -> dict[str, float]:
-        """volume_id → summed leaf I/O time (used by impact analysis)."""
-        per_volume: dict[str, float] = {}
-        for rt in self.operators.values():
-            if rt.volume_id:
-                per_volume[rt.volume_id] = per_volume.get(rt.volume_id, 0.0) + rt.io_time
-        return per_volume
-
 
 @dataclass
 class Executor:

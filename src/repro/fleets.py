@@ -6,12 +6,12 @@ definition: scenario names, duration, seed, and the supervisor/correlator
 knobs.  Both front ends build through it: ``repro watch`` turns its command
 line into a spec, and ``repro serve`` takes one as the JSON body of
 ``POST /v1/tenants/{id}/fleets``.  The spec validates eagerly (unknown
-scenario names, duplicate members, out-of-range numbers — all before
-anything is built) and is JSON-round-trippable (``to_dict``/
-``from_payload``).  :meth:`FleetSpec.build` constructs the fabrics, the
-correlation engine and the supervisor, and stamps
-:meth:`FleetSpec.checkpoint_meta` into every checkpoint, so a watch only
-resumes with the same fleet.
+scenario names, duplicate members, fleet scenarios that declare the same
+shared component, out-of-range numbers — all before any environment is
+built) and is JSON-round-trippable (``to_dict``/``from_payload``).
+:meth:`FleetSpec.build` constructs the fabrics, the correlation engine and
+the supervisor, and stamps :meth:`FleetSpec.checkpoint_meta` into every
+checkpoint, so a watch only resumes with the same fleet.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .lab import (
 from .stream import FleetEventLog, FleetSupervisor, IncidentStore
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .correlate import SharedFabric
     from .runtime import WorkerPool
     from .storage.backend import StorageBackend
 
@@ -157,7 +158,10 @@ class FleetSpec:
         seed = data.get("seed")
         if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             raise ValueError("seed must be an integer")
-        return cls(
+        recovery = data.get("recovery", False)
+        if not isinstance(recovery, bool):
+            raise ValueError("recovery must be a boolean")
+        spec = cls(
             scenarios=tuple(names),
             hours=number("hours", 8.0),
             seed=seed,
@@ -167,8 +171,10 @@ class FleetSpec:
             correlation_window_minutes=number("correlation_window_minutes", 60.0),
             min_members=optional_int("min_members") or 3,
             max_workers=optional_int("max_workers"),
-            recovery=bool(data.get("recovery", False)),
+            recovery=recovery,
         )
+        spec._fabrics()  # a membership conflict is refused here, not at build
+        return spec
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -197,14 +203,45 @@ class FleetSpec:
 
     def member_names(self) -> list[str]:
         """Environment names this spec expands to (fleet members included)."""
+        fabrics, _membership = self._fabrics()
         members: list[str] = []
         for name in self.scenarios:
-            if name in FLEET_SCENARIOS:
-                fabric = FLEET_SCENARIOS[name](**self._scenario_kwargs())
-                members.extend(sorted(fabric.members))
+            if name in fabrics:
+                members.extend(sorted(fabrics[name].members))
             else:
                 members.append(name)
         return members
+
+    def _fabrics(
+        self,
+    ) -> tuple[dict[str, "SharedFabric"], dict[str, tuple[str, ...]]]:
+        """The named fleet scenarios' fabrics (in spec order) and their
+        merged shared-component membership; none when no fleet scenario is
+        named.
+
+        Same-named components in different fleet scenarios are DIFFERENT
+        physical components (each fabric is its own set of simulators);
+        merging them would correlate unrelated members, so a component two
+        fabrics declare is a ValueError.
+        """
+        fabrics = {
+            name: FLEET_SCENARIOS[name](**self._scenario_kwargs())
+            for name in self.scenarios
+            if name in FLEET_SCENARIOS
+        }
+        membership: dict[str, tuple[str, ...]] = {}
+        for fabric in fabrics.values():
+            for component, members in fabric.membership().items():
+                if component in membership:
+                    raise ValueError(
+                        f"fleet scenarios conflict: shared component "
+                        f"{component!r} is declared by more than one fleet "
+                        "scenario (same-named components in different "
+                        "fabrics are physically distinct) — watch them "
+                        "separately"
+                    )
+                membership[component] = tuple(members)
+        return fabrics, membership
 
     def _scenario_kwargs(self) -> dict:
         kwargs: dict = {"hours": self.hours}
@@ -229,28 +266,9 @@ class FleetSpec:
         scenario construction) — the serve app runs this through
         ``Scheduler.call`` on the worker pool.
         """
-        fabrics = [
-            (name, FLEET_SCENARIOS[name](**self._scenario_kwargs()))
-            for name in self.scenarios
-            if name in FLEET_SCENARIOS
-        ]
+        fabrics, membership = self._fabrics()
         correlator = None
         if fabrics:
-            # Same-named components in different fleet scenarios are
-            # DIFFERENT physical components (each fabric is its own set of
-            # simulators); merging them would correlate unrelated members.
-            membership: dict[str, tuple[str, ...]] = {}
-            for _fabric_name, fabric in fabrics:
-                for component, members in fabric.membership().items():
-                    if component in membership:
-                        raise ValueError(
-                            f"fleet scenarios conflict: shared component "
-                            f"{component!r} is declared by more than one fleet "
-                            "scenario (same-named components in different "
-                            "fabrics are physically distinct) — watch them "
-                            "separately"
-                        )
-                    membership[component] = tuple(members)
             if backend is not None:
                 fleet_store = FleetIncidentStore(backend)
             elif state_dir is not None:
@@ -282,7 +300,7 @@ class FleetSpec:
         # supervisor builds and simulates each environment inside its
         # sticky worker; under threads they are ignored.
         hydration = {"hours": self.hours, "seed": self.seed}
-        for fabric_name, fabric in fabrics:
+        for fabric_name, fabric in fabrics.items():
             fabric.watch_all(supervisor, hydration={"fleet": fabric_name, **hydration})
         for name in self.scenarios:
             if name not in FLEET_SCENARIOS:

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from ..db.executor import QueryRun
 from ..san.iomodel import SanPerfSample
 from ..storage.jsonl import JsonlBackend
-from ..storage.sqlite import SqliteBackend
 from .configstore import ConfigStore
 from .events import EventLog
 from .runstore import RunStore
@@ -92,30 +90,21 @@ class MonitoringStores:
         cls,
         state_dir: str | os.PathLike,
         *,
-        backend: str = "jsonl",
         interval_s: float = 300.0,
         noise_sigma: float = 0.05,
         seed: int = 0,
         fsync: bool = False,
     ) -> "MonitoringStores":
-        """Open (or create) a durable store under ``state_dir``.
+        """Open (or create) a durable JSONL store under ``state_dir``.
 
-        ``backend`` is ``"jsonl"`` (append-only segment files, the default)
-        or ``"sqlite"`` (one indexed database file, so keyed scans stop
-        reading whole segments).  A reopened store returns the same
-        ``series()`` / ``runs()`` / ``events()`` / config diffs as the store
-        that wrote them.
+        A reopened store returns the same ``series()`` / ``runs()`` /
+        ``events()`` / config diffs as the store that wrote them.
         """
-        if backend == "jsonl":
-            impl = JsonlBackend(state_dir, fsync=fsync)
-        elif backend == "sqlite":
-            impl = SqliteBackend(Path(state_dir) / "telemetry.db", fsync=fsync)
-        else:
-            raise ValueError(
-                f"unknown backend {backend!r} (expected 'jsonl' or 'sqlite')"
-            )
         return cls.with_backend(
-            impl, interval_s=interval_s, noise_sigma=noise_sigma, seed=seed
+            JsonlBackend(state_dir, fsync=fsync),
+            interval_s=interval_s,
+            noise_sigma=noise_sigma,
+            seed=seed,
         )
 
     # -- lifecycle -------------------------------------------------------

@@ -73,9 +73,6 @@ class RunStore:
         ]
         return sorted(out, key=lambda r: r.start_time)
 
-    def runs_between(self, query_name: str, start: float, end: float) -> list[QueryRun]:
-        return [r for r in self.runs(query_name) if start <= r.start_time <= end]
-
     def satisfactory_runs(self, query_name: str) -> list[QueryRun]:
         return [r for r in self.runs(query_name) if r.satisfactory is True]
 

@@ -346,13 +346,6 @@ class IoSimulator:
         """Metrics under zero load (baseline latencies)."""
         return self.simulate({})
 
-    def volume_latency_under(
-        self, loads: Mapping[str, VolumeLoad], volume_id: str
-    ) -> tuple[float, float]:
-        """(read, write) response time of one volume under the offered loads."""
-        sample = self.simulate(loads)
-        return sample.volume_read_latency(volume_id), sample.volume_write_latency(volume_id)
-
 
 def scaled(load: VolumeLoad, factor: float) -> VolumeLoad:
     """A copy of ``load`` with IOPS multiplied by ``factor``."""

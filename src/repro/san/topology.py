@@ -15,11 +15,10 @@ both directions can be traversed.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .components import (
     Component,
-    ComponentType,
     Disk,
     FcSwitch,
     Hba,
@@ -109,9 +108,6 @@ class SanTopology:
 
     def parents(self, component_id: str) -> list[Component]:
         return [self._components[p] for p in self._parents.get(component_id, [])]
-
-    def by_type(self, ctype: ComponentType) -> list[Component]:
-        return [c for c in self._components.values() if c.ctype is ctype]
 
     @property
     def servers(self) -> list[Server]:
@@ -267,6 +263,3 @@ class SanTopology:
             if hba.server_id not in self._components:
                 problems.append(f"hba {hba.component_id} references missing server")
         return problems
-
-    def components_by_ids(self, ids: Iterable[str]) -> list[Component]:
-        return [self.get(cid) for cid in ids]

@@ -109,7 +109,6 @@ def build_router(app: "ServeApp") -> Router:
         states = [s.state for s in app.sessions.values()]
         body = {
             "ok": True,
-            "backend": app.backend_kind,
             "tenants": len(app.registry),
             "watches": {state: states.count(state) for state in set(states)},
             "sse_clients": sum(len(b.clients) for b in app.brokers.values()),

@@ -1,7 +1,7 @@
 """The serve application: one process, one scheduler, many tenants.
 
-``ServeApp`` owns the shared substrate — one durable
-:class:`~repro.storage.StorageBackend` under the state root, the
+``ServeApp`` owns the shared substrate — one
+:class:`~repro.storage.JsonlBackend` under ``<state root>/shared``, the
 :class:`~repro.serve.tenants.TenantRegistry` that slices it into per-tenant
 keyspace prefixes, and one :class:`~repro.runtime.Scheduler` whose event
 loop carries *everything*: the HTTP accept loop, every tenant's
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from ..fleets import FleetSpec
 from ..obs import metrics as obs_metrics
 from ..runtime import Scheduler, resolve_pool_backend, shared_pool
-from ..storage import JsonlBackend, MemoryBackend, SqliteBackend
+from ..storage import JsonlBackend
 from ..storage.backend import atomic_write_json
 from .http import HttpServer
 from .stream import SseBroker
@@ -47,8 +47,6 @@ __all__ = ["ServeApp", "WatchSession", "SERVE_MANIFEST"]
 #: ``{"host": ..., "port": ..., "pid": ...}`` — how clients and the CI smoke
 #: find a server that was started with ``--port 0``.
 SERVE_MANIFEST = "serve.json"
-
-_BACKENDS = ("jsonl", "sqlite", "memory")
 
 
 class WatchSession:
@@ -147,16 +145,21 @@ class ServeApp:
         self,
         state_root: str | os.PathLike,
         *,
-        backend: str = "jsonl",
         sse_backlog: int = 128,
         pool: str | None = None,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         self.state_root = Path(state_root)
+        # The removed sqlite backend kept every tenant's journals here;
+        # resuming their checkpoints over an empty JSONL store would lose
+        # those histories, so such a root is refused.
+        sqlite_store = self.state_root / "shared.db"
+        if sqlite_store.exists():
+            raise ValueError(
+                f"{sqlite_store} is a sqlite store, which this server no "
+                "longer reads; start it on a fresh state root"
+            )
         self.state_root.mkdir(parents=True, exist_ok=True)
-        self.backend_kind = backend
-        self.backend = self._open_backend(backend)
+        self.backend = JsonlBackend(self.state_root / "shared")
         self.registry = TenantRegistry(self.state_root, self.backend)
         self.pool_backend = resolve_pool_backend(pool)
         self.scheduler = Scheduler(pool=shared_pool(backend=self.pool_backend))
@@ -172,13 +175,6 @@ class ServeApp:
         self._registry_lock: asyncio.Lock | None = None
         self._stop_event: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-
-    def _open_backend(self, kind: str):
-        if kind == "jsonl":
-            return JsonlBackend(self.state_root / "shared")
-        if kind == "sqlite":
-            return SqliteBackend(self.state_root / "shared.db")
-        return MemoryBackend()
 
     # -- lifecycle ---------------------------------------------------------
     def serve_forever(self, host: str = "127.0.0.1", port: int = 8787) -> int:

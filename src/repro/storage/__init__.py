@@ -1,20 +1,16 @@
 """repro.storage — one backend protocol under every store.
 
-One backend contract (:class:`StorageBackend`: append, scan by key/time
-window, flush, close) carries every kind of telemetry the system records —
-raw metric observations, query runs with labels, configuration snapshots,
-events, and incident journals.  Three implementations ship here:
+One backend contract (:class:`StorageBackend`: append, scan a keyspace or
+one key of it, flush, close) carries every kind of telemetry the system
+records — raw metric observations, query runs with labels, configuration
+snapshots, events, and incident journals.  Two implementations ship here:
 
 * :class:`MemoryBackend` — per-keyspace record lists held by reference
   (zero-copy appends; the historical in-memory behaviour);
-* :class:`JsonlBackend` — append-only JSONL segment files per keyspace with
-  an in-memory index, replayed on open; crash-safe because segments are
-  only ever appended to (torn tails from a mid-append crash are ignored on
-  replay and reclaimed by the next writer);
-* :class:`SqliteBackend` — one sqlite database with a real
-  ``(keyspace, key, ts)`` index, so keyed and time-windowed scans are index
-  lookups instead of whole-segment reads
-  (``MonitoringStores.open(state_dir, backend="sqlite")``).
+* :class:`JsonlBackend` — the one durable backend: append-only JSONL
+  segment files per keyspace with an in-memory index, replayed on open;
+  crash-safe because segments are only ever appended to (torn tails from a
+  mid-append crash are ignored on replay and reclaimed by the next writer).
 
 The four monitor stores sit on one backend through
 :class:`repro.monitor.MonitoringStores`; :mod:`repro.storage.serializers`
@@ -27,16 +23,9 @@ see the "storage backend how-to" section of the README.
 """
 
 from . import keyspaces
-from .backend import (
-    MemoryBackend,
-    Record,
-    StorageBackend,
-    atomic_write_json,
-    record,
-)
+from .backend import MemoryBackend, Record, StorageBackend, atomic_write_json
 from .jsonl import JsonlBackend
 from .prefix import PrefixedBackend
-from .sqlite import SqliteBackend
 from .serializers import (
     access_from_dict,
     access_to_dict,
@@ -62,12 +51,10 @@ __all__ = [
     "keyspaces",
     "StorageBackend",
     "Record",
-    "record",
     "atomic_write_json",
     "MemoryBackend",
     "JsonlBackend",
     "PrefixedBackend",
-    "SqliteBackend",
     "plan_to_dict",
     "plan_from_dict",
     "run_to_dict",

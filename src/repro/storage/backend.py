@@ -1,22 +1,23 @@
-"""The pluggable telemetry-store backend protocol and its in-memory reference.
+"""The telemetry-store backend protocol and its in-memory reference.
 
 Every monitoring store (metrics, runs, config snapshots, events, incident
 journals) persists through the same tiny contract: an append-only log of
 JSON-able *records* partitioned into named **keyspaces**.  A record is a
-plain dict carrying at least a timestamp under ``"t"`` and (optionally) a
-routing key under ``"k"``; everything else is the owning store's business.
+plain dict with an optional routing key under ``"k"``; everything else
+(the stores' ``"t"`` timestamps included) is the owning store's business.
 
-The contract is deliberately minimal — append, scan by key and/or time
-window, flush, close — so third-party backends (sqlite, redis, a TSDB
-gateway) can be dropped in without touching any store.  Two first-class
+The contract is what the stores use — append, scan a keyspace (optionally
+one key's records), flush, close — so a third-party backend (redis, a
+TSDB gateway) can be dropped in without touching any store.  Two
 implementations ship with the package:
 
 * :class:`MemoryBackend` (here) — records are kept **by reference** in
   per-keyspace lists: appending never serialises, copies, or touches the
   filesystem, which keeps the hot collector path as cheap as it was before
   stores were re-founded on the protocol;
-* :class:`repro.storage.jsonl.JsonlBackend` — append-only segment files per
-  keyspace with an in-memory index and crash-safe replay.
+* :class:`repro.storage.jsonl.JsonlBackend` — the one durable backend:
+  append-only segment files per keyspace with an in-memory index and
+  crash-safe replay.
 
 Readers never ask whether a backend outlives its process: every store and
 the fleet event log replays whatever its backend already holds when it is
@@ -36,8 +37,6 @@ __all__ = [
     "Record",
     "StorageBackend",
     "MemoryBackend",
-    "matches",
-    "record",
     "atomic_write_json",
 ]
 
@@ -57,33 +56,12 @@ def atomic_write_json(
     tmp.write_text(json.dumps(payload, indent=indent, sort_keys=sort_keys))
     os.replace(tmp, target)
 
-#: A stored record: JSON-able dict with a float timestamp under ``"t"`` and
-#: an optional routing key under ``"k"``.
+
+#: A stored record: JSON-able dict with an optional routing key under ``"k"``.
 Record = dict
 
-#: Reserved record fields every backend understands.
-TIME_FIELD = "t"
+#: The reserved record field ``scan(key=...)`` filters on.
 KEY_FIELD = "k"
-
-
-def matches(
-    record: Record,
-    key: str | None = None,
-    start: float | None = None,
-    end: float | None = None,
-) -> bool:
-    """Shared key/time-window filter semantics for backend ``scan``."""
-    if key is not None and record.get(KEY_FIELD) != key:
-        return False
-    if start is not None or end is not None:
-        t = record.get(TIME_FIELD)
-        if t is None:
-            return False
-        if start is not None and t < start:
-            return False
-        if end is not None and t > end:
-            return False
-    return True
 
 
 @runtime_checkable
@@ -102,15 +80,8 @@ class StorageBackend(Protocol):
         """Batch append; returns how many records were written."""
         ...
 
-    def scan(
-        self,
-        keyspace: str,
-        *,
-        key: str | None = None,
-        start: float | None = None,
-        end: float | None = None,
-    ) -> Iterator[Record]:
-        """Records of a keyspace in append order, filtered by key/window."""
+    def scan(self, keyspace: str, *, key: str | None = None) -> Iterator[Record]:
+        """Records of a keyspace in append order (only ``key``'s, if given)."""
         ...
 
     def keyspaces(self) -> list[str]:
@@ -158,18 +129,11 @@ class MemoryBackend:
             rows.extend(records)
             return len(rows) - before
 
-    def scan(
-        self,
-        keyspace: str,
-        *,
-        key: str | None = None,
-        start: float | None = None,
-        end: float | None = None,
-    ) -> Iterator[Record]:
+    def scan(self, keyspace: str, *, key: str | None = None) -> Iterator[Record]:
         with self._lock:
             rows = list(self._keyspaces.get(keyspace, ()))
         for record in rows:
-            if matches(record, key, start, end):
+            if key is None or record.get(KEY_FIELD) == key:
                 yield record
 
     def keyspaces(self) -> list[str]:
@@ -189,12 +153,3 @@ class MemoryBackend:
     def _check_open(self) -> None:
         if self._closed:
             raise ValueError("backend is closed")
-
-
-def record(t: float, key: str | None = None, **payload: Any) -> Record:
-    """Convenience constructor enforcing the reserved-field layout."""
-    out: Record = {TIME_FIELD: t}
-    if key is not None:
-        out[KEY_FIELD] = key
-    out.update(payload)
-    return out

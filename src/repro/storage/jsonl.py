@@ -17,12 +17,14 @@ Durability model
   concurrent query process must not mutate a live writer's file) truncates
   it away so writing resumes on a clean line boundary.
 * **Replay** happens on open: every segment is scanned once to rebuild the
-  in-memory index (per-keyspace record count, time bounds, per-key counts),
-  after which scans stream records back off disk in append order.  Replay
-  never consults the manifest — ``MANIFEST.json`` is an *advisory* summary
-  of committed segment state for operators and external tooling, refreshed
-  (write-then-rename, so it is never torn) on flush/close by instances
-  that actually appended; read-only opens leave it untouched.
+  in-memory index (per-keyspace record count, committed bytes and the set
+  of routing keys), after which scans stream records back off disk in
+  append order; a keyed scan for a key the segment never held returns
+  without opening it.  Replay never consults the manifest —
+  ``MANIFEST.json`` is an *advisory* summary of committed segment state for
+  operators and external tooling, refreshed (write-then-rename, so it is
+  never torn) on flush/close by instances that actually appended;
+  read-only opens leave it untouched.
 
 The index keeps only bookkeeping, not the records themselves, so an open
 store's memory footprint is O(#keyspaces + #distinct keys), not O(#records)
@@ -41,7 +43,7 @@ from typing import Iterable, Iterator
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from . import keyspaces as _keyspaces
-from .backend import KEY_FIELD, Record, TIME_FIELD, atomic_write_json, matches
+from .backend import KEY_FIELD, Record, atomic_write_json
 
 __all__ = ["JsonlBackend"]
 
@@ -63,25 +65,19 @@ def _safe_keyspace(keyspace: str) -> str:
 class _KeyspaceIndex:
     """Bookkeeping for one segment file (no record bodies kept)."""
 
-    __slots__ = ("count", "t_min", "t_max", "key_counts", "committed_bytes")
+    __slots__ = ("count", "keys", "committed_bytes")
 
     def __init__(self) -> None:
         self.count = 0
-        self.t_min: float | None = None
-        self.t_max: float | None = None
-        self.key_counts: dict[str, int] = {}
+        self.keys: set[str] = set()
         self.committed_bytes = 0
 
     def note(self, record: Record, nbytes: int) -> None:
         self.count += 1
         self.committed_bytes += nbytes
-        t = record.get(TIME_FIELD)
-        if isinstance(t, (int, float)):
-            self.t_min = t if self.t_min is None else min(self.t_min, t)
-            self.t_max = t if self.t_max is None else max(self.t_max, t)
         key = record.get(KEY_FIELD)
         if key is not None:
-            self.key_counts[key] = self.key_counts.get(key, 0) + 1
+            self.keys.add(key)
 
 
 class JsonlBackend:
@@ -174,24 +170,13 @@ class JsonlBackend:
                 nbytes += len(data)
             return written, nbytes
 
-    def scan(
-        self,
-        keyspace: str,
-        *,
-        key: str | None = None,
-        start: float | None = None,
-        end: float | None = None,
-    ) -> Iterator[Record]:
+    def scan(self, keyspace: str, *, key: str | None = None) -> Iterator[Record]:
         obs_metrics.inc("storage.jsonl.scans")
         with self._lock:
             index = self._index.get(keyspace)
             if index is None or index.count == 0:
                 return
-            if key is not None and key not in index.key_counts:
-                return
-            if start is not None and index.t_max is not None and index.t_max < start:
-                return
-            if end is not None and index.t_min is not None and index.t_min > end:
+            if key is not None and key not in index.keys:
                 return
             self._flush_file(keyspace)
             committed = index.committed_bytes
@@ -203,7 +188,7 @@ class JsonlBackend:
                     break
                 remaining -= len(line)
                 record = json.loads(line)
-                if matches(record, key, start, end):
+                if key is None or record.get(KEY_FIELD) == key:
                     yield record
 
     def keyspaces(self) -> list[str]:
@@ -269,22 +254,6 @@ class JsonlBackend:
                 self._files.pop(keyspace).close()  # type: ignore[attr-defined]
             self._write_manifest()
             self._closed = True
-
-    # -- introspection ---------------------------------------------------
-    def count(self, keyspace: str) -> int:
-        with self._lock:
-            index = self._index.get(keyspace)
-            return index.count if index else 0
-
-    def keys(self, keyspace: str) -> list[str]:
-        """Distinct routing keys seen in a keyspace (from the index)."""
-        with self._lock:
-            index = self._index.get(keyspace)
-            return sorted(index.key_counts) if index else []
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(index.count for index in self._index.values())
 
     # -- internals -------------------------------------------------------
     def _segment_path(self, keyspace: str) -> Path:

@@ -58,15 +58,8 @@ class PrefixedBackend:
     def append_many(self, keyspace: str, records: Iterable[Record]) -> int:
         return self.inner.append_many(self._down(keyspace), records)
 
-    def scan(
-        self,
-        keyspace: str,
-        *,
-        key: str | None = None,
-        start: float | None = None,
-        end: float | None = None,
-    ) -> Iterator[Record]:
-        return self.inner.scan(self._down(keyspace), key=key, start=start, end=end)
+    def scan(self, keyspace: str, *, key: str | None = None) -> Iterator[Record]:
+        return self.inner.scan(self._down(keyspace), key=key)
 
     def keyspaces(self) -> list[str]:
         n = len(self.prefix)
@@ -81,26 +74,10 @@ class PrefixedBackend:
         # The shared backend outlives this view; its owner closes it.
         self.inner.flush()
 
-    # -- optional capabilities (delegated when the inner backend has them)
+    # -- optional capability: the JSONL backend's cross-process refresh
     def refresh(self) -> int:
         refresh = getattr(self.inner, "refresh", None)
         return refresh() if refresh is not None else 0
-
-    def count(self, keyspace: str) -> int:
-        count = getattr(self.inner, "count", None)
-        if count is not None:
-            return count(self._down(keyspace))
-        return sum(1 for _ in self.scan(keyspace))
-
-    def keys(self, keyspace: str) -> list[str]:
-        keys = getattr(self.inner, "keys", None)
-        if keys is not None:
-            return keys(self._down(keyspace))
-        seen = {r.get("k") for r in self.scan(keyspace)}
-        return sorted(k for k in seen if k is not None)
-
-    def __len__(self) -> int:
-        return sum(self.count(ks) for ks in self.keyspaces())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrefixedBackend({self.prefix!r}, {self.inner!r})"

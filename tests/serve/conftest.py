@@ -148,8 +148,8 @@ class ServeHandle:
         assert not self.thread.is_alive(), "server thread failed to stop"
 
 
-def start_server(state_root, *, backend: str = "memory", **app_kwargs) -> ServeHandle:
-    app = ServeApp(state_root, backend=backend, **app_kwargs)
+def start_server(state_root, **app_kwargs) -> ServeHandle:
+    app = ServeApp(state_root, **app_kwargs)
     thread = threading.Thread(
         target=app.serve_forever, args=("127.0.0.1", 0), daemon=True
     )
@@ -193,12 +193,5 @@ def make_incident():
 @pytest.fixture
 def server(tmp_path):
     handle = start_server(tmp_path / "root")
-    yield handle
-    handle.stop()
-
-
-@pytest.fixture
-def jsonl_server(tmp_path):
-    handle = start_server(tmp_path / "root", backend="jsonl")
     yield handle
     handle.stop()

@@ -63,6 +63,8 @@ def test_fleet_spec_validation(server):
         {"scenarios": ["san-misconfiguration", "san-misconfiguration"]},
         {"scenarios": ["san-misconfiguration"], "hours": -1},
         {"scenarios": ["san-misconfiguration"], "frobnicate": True},
+        # Both fabrics declare `fcsw-core`: refused here, not at watch/start.
+        {"scenarios": ["shared-pool-saturation", "shared-switch-degradation"]},
         "not a dict",
     ):
         status, payload = server.request("POST", "/v1/tenants/acme/fleets", bad)

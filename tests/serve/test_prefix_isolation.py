@@ -2,7 +2,7 @@
 
 Two tenants run the *same* scenario with the *same* environment names under
 one state root; every read through one tenant's view must see only that
-tenant's records — on the JSONL, sqlite and in-memory backends.
+tenant's records — on the JSONL and in-memory backends.
 """
 
 from __future__ import annotations
@@ -11,19 +11,17 @@ import pytest
 
 from repro.correlate import FleetIncidentStore
 from repro.serve import TenantRegistry
-from repro.storage import JsonlBackend, MemoryBackend, SqliteBackend
+from repro.storage import JsonlBackend, MemoryBackend
 from repro.stream import FleetEventLog, IncidentStore
 
 
 def _open_backend(kind: str, tmp_path):
     if kind == "memory":
         return MemoryBackend()
-    if kind == "jsonl":
-        return JsonlBackend(tmp_path / "shared")
-    return SqliteBackend(tmp_path / "shared.db")
+    return JsonlBackend(tmp_path / "shared")
 
 
-BACKENDS = ("memory", "jsonl", "sqlite")
+BACKENDS = ("memory", "jsonl")
 
 
 @pytest.mark.parametrize("kind", BACKENDS)

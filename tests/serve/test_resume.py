@@ -75,8 +75,6 @@ class ServerProc:
                 str(self.root),
                 "--port",
                 "0",
-                "--backend",
-                "jsonl",
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -249,3 +247,20 @@ def test_sigkilled_server_resumes_every_watch_identically(tmp_path, reference):
         assert _histories(server) == reference
     finally:
         server.terminate()
+
+
+def test_sqlite_state_root_is_refused(tmp_path, capsys):
+    """A root the removed sqlite backend wrote keeps its tenants' journals
+    in ``shared.db``; resuming their checkpoints over the empty JSONL store
+    would lose them, so the server refuses the root before touching it."""
+    from repro.cli import main
+    from repro.serve import ServeApp
+
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "shared.db").write_bytes(b"")
+    with pytest.raises(ValueError, match="shared.db"):
+        ServeApp(root)
+    assert main(["serve", "--state-root", str(root), "--port", "0"]) == 2
+    assert str(root / "shared.db") in capsys.readouterr().err
+    assert [p.name for p in root.iterdir()] == ["shared.db"]

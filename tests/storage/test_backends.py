@@ -1,4 +1,4 @@
-"""Protocol conformance for both first-class backends + JSONL crash safety."""
+"""Protocol conformance for both backends + JSONL crash safety."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.storage import JsonlBackend, MemoryBackend, SqliteBackend, StorageBackend
+from repro.storage import JsonlBackend, MemoryBackend, StorageBackend
 
 
 def _fill(backend):
@@ -20,16 +20,12 @@ def _fill(backend):
     return backend
 
 
-@pytest.fixture(params=["memory", "jsonl", "sqlite"])
+@pytest.fixture(params=["memory", "jsonl"])
 def backend(request, tmp_path):
     if request.param == "memory":
         yield MemoryBackend()
-    elif request.param == "jsonl":
-        b = JsonlBackend(tmp_path / "seg")
-        yield b
-        b.close()
     else:
-        b = SqliteBackend(tmp_path / "telemetry.db")
+        b = JsonlBackend(tmp_path / "seg")
         yield b
         b.close()
 
@@ -47,13 +43,6 @@ class TestProtocolConformance:
         _fill(backend)
         assert [r["v"] for r in backend.scan("metrics", key="V1/readTime")] == [1.0, 2.0]
         assert [r["v"] for r in backend.scan("metrics", key="nope")] == []
-
-    def test_scan_by_time_window(self, backend):
-        _fill(backend)
-        assert [r["v"] for r in backend.scan("metrics", start=60.0)] == [2.0, 3.0]
-        assert [r["v"] for r in backend.scan("metrics", end=60.0)] == [1.0, 2.0]
-        assert [r["v"] for r in backend.scan("metrics", start=60.0, end=60.0)] == [2.0]
-        assert [r["v"] for r in backend.scan("metrics", key="V1/readTime", start=30.0)] == [2.0]
 
     def test_keyspaces_isolated_and_sorted(self, backend):
         _fill(backend)
@@ -159,13 +148,6 @@ class TestJsonlDurability:
                 b.append(bad, {"t": 0.0})
         b.close()
 
-    def test_index_tracks_counts_and_keys(self, tmp_path):
-        b = _fill(JsonlBackend(tmp_path / "seg"))
-        assert b.count("metrics") == 3
-        assert b.keys("metrics") == ["V1/readTime", "V2/readTime"]
-        assert len(b) == 5
-        b.close()
-
     def test_scan_appends_during_iteration_are_not_lost(self, tmp_path):
         b = JsonlBackend(tmp_path / "seg")
         b.append_many("metrics", [{"t": float(i), "v": float(i)} for i in range(10)])
@@ -179,101 +161,6 @@ class TestJsonlDurability:
         # ... but the appended record is durable and visible to a new scan
         assert [r["v"] for r in b.scan("metrics")][-1] == 99.0
         b.close()
-
-
-class TestSqliteBackend:
-    def test_reopen_replays_identically(self, tmp_path):
-        path = tmp_path / "telemetry.db"
-        original = _fill(SqliteBackend(path))
-        before = {ks: list(original.scan(ks)) for ks in original.keyspaces()}
-        original.close()
-
-        reopened = SqliteBackend(path)
-        after = {ks: list(reopened.scan(ks)) for ks in reopened.keyspaces()}
-        assert json.dumps(before, sort_keys=True) == json.dumps(after, sort_keys=True)
-        reopened.close()
-
-    def test_keyed_scan_uses_the_index(self, tmp_path):
-        """The whole point over JSONL: keyed reads are index lookups, not
-        full-keyspace scans."""
-        b = _fill(SqliteBackend(tmp_path / "telemetry.db"))
-        plan = " ".join(
-            row[-1]
-            for row in b._conn.execute(
-                "EXPLAIN QUERY PLAN SELECT payload FROM records "
-                "WHERE ks = ? AND k = ? ORDER BY seq",
-                ("metrics", "V1/readTime"),
-            )
-        )
-        assert "idx_records_ks_key_ts" in plan
-        assert "SCAN records" not in plan.replace("USING INDEX", "")
-        b.close()
-
-    def test_time_window_scan_uses_the_ts_index(self, tmp_path):
-        b = _fill(SqliteBackend(tmp_path / "telemetry.db"))
-        plan = " ".join(
-            row[-1]
-            for row in b._conn.execute(
-                "EXPLAIN QUERY PLAN SELECT payload FROM records "
-                "WHERE ks = ? AND t >= ? ORDER BY seq",
-                ("metrics", 60.0),
-            )
-        )
-        assert "idx_records_ks" in plan  # either composite index qualifies
-        b.close()
-
-    def test_introspection_counts_and_keys(self, tmp_path):
-        b = _fill(SqliteBackend(tmp_path / "telemetry.db"))
-        assert b.count("metrics") == 3
-        assert b.count("metrics", key="V1/readTime") == 2
-        assert b.keys("metrics") == ["V1/readTime", "V2/readTime"]
-        assert len(b) == 5
-        b.close()
-
-    def test_concurrent_appends_from_threads(self, tmp_path):
-        import threading
-
-        b = SqliteBackend(tmp_path / "telemetry.db")
-
-        def write(worker):
-            for i in range(50):
-                b.append("metrics", {"t": float(i), "k": f"w{worker}", "v": i})
-
-        threads = [threading.Thread(target=write, args=(w,)) for w in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert b.count("metrics") == 200
-        assert [r["v"] for r in b.scan("metrics", key="w2")] == list(range(50))
-        b.close()
-
-    def test_records_without_timestamp_or_key(self, tmp_path):
-        b = SqliteBackend(tmp_path / "telemetry.db")
-        b.append("misc", {"note": "no reserved fields at all"})
-        b.append("misc", {"t": 5.0, "note": "timestamped"})
-        assert [r["note"] for r in b.scan("misc")] == [
-            "no reserved fields at all",
-            "timestamped",
-        ]
-        # a time window excludes the timestamp-less record (matches() rules)
-        assert [r["note"] for r in b.scan("misc", start=0.0)] == ["timestamped"]
-        b.close()
-
-    def test_telemetry_store_opens_sqlite(self, tmp_path):
-        from repro.monitor import MonitoringStores
-
-        store = MonitoringStores.open(tmp_path / "state", backend="sqlite")
-        store.metrics.record(0.0, "V1", "readTime", 5.0)
-        store.metrics.record(300.0, "V1", "readTime", 6.0)
-        store.close()
-
-        reopened = MonitoringStores.open(tmp_path / "state", backend="sqlite")
-        series = reopened.metrics.series("V1", "readTime")
-        assert len(series) == 2
-        reopened.close()
-        with pytest.raises(ValueError, match="unknown backend"):
-            MonitoringStores.open(tmp_path / "state", backend="redis")
 
 
 class TestFleetEventLogConformance:
@@ -357,27 +244,6 @@ class TestFleetEventLogConformance:
         seqs = [r["seq"] for r in tailer.tail()]
         assert seqs == sorted(seqs) == list(range(7))
         resumed.close()
-        tailer.close()
-
-    def test_live_tailer_follows_separate_sqlite_handle(self, tmp_path):
-        """The same follow-the-writer contract over sqlite: a second
-        connection's scans see every committed append without an explicit
-        refresh hook."""
-        from repro.stream import FleetEventLog
-
-        db = tmp_path / "telemetry.db"
-        writer = FleetEventLog(SqliteBackend(db))
-        writer.append({"type": "advanced", "env": "env-a", "clock": 0.0})
-        writer.flush()
-
-        tailer = FleetEventLog(SqliteBackend(db))
-        assert [r["seq"] for r in tailer.tail()] == [0]
-
-        writer.append({"type": "incident_opened", "env": "env-a",
-                       "incident_id": "INC-env-a-1", "opened_at": 30.0})
-        writer.flush()
-        assert [r["seq"] for r in tailer.tail(after_seq=0)] == [1]
-        writer.close()
         tailer.close()
 
 

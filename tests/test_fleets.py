@@ -129,3 +129,18 @@ class TestFleetSpec:
         )
         assert spec.cooldown_minutes == 0.0
         assert spec.build().cooldown_s == 0.0
+
+    @pytest.mark.parametrize(
+        "value",
+        ["false", "true", 0, 1, None, [True]],
+        ids=["str-false", "str-true", "zero", "one", "null", "list"],
+    )
+    def test_recovery_must_be_a_json_boolean(self, value):
+        with pytest.raises(ValueError, match="recovery must be a boolean"):
+            FleetSpec.from_payload({"scenarios": ["lock-contention"], "recovery": value})
+
+    def test_conflicting_fleet_scenarios_are_refused_at_validation(self):
+        with pytest.raises(ValueError, match="shared component 'fcsw-core'"):
+            FleetSpec.from_payload(
+                {"scenarios": ["shared-pool-saturation", "shared-switch-degradation"]}
+            )
