@@ -8,7 +8,7 @@ redundant pipeline runs.  With the cross-environment correlator
 1. the streaming engine notices the co-occurring incident opens across the
    pool's membership and merges them into one ``FleetIncident``;
 2. the shared-root-cause drill-down ranks the shared components across the
-   member bundles (dependency paths x metric/duration correlation) and
+   members' run histories (dependency paths x metric/duration correlation) and
    names the pool — out-ranking the also-shared core switch, because two
    attached-but-healthy members are evidence against the switch;
 3. every member incident is resolved with the fleet-level report instead of

@@ -16,8 +16,9 @@ three layers:
   incident opens keyed by shared-component membership, and emits durable
   :class:`FleetIncident`\\ s with open → grow → resolve lifecycle;
 * **shared-root-cause drill-down** (:mod:`repro.correlate.diagnosis`) —
-  cross-bundle dependency-path analysis ranking the shared components, one
-  fleet-level report replacing N redundant member diagnoses.
+  cross-member dependency-path analysis ranking the shared components (each
+  member scores its own evidence), one fleet-level report replacing N
+  redundant member diagnoses.
 
 Quickstart::
 

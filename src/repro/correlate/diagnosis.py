@@ -3,7 +3,7 @@
 When a :class:`~repro.correlate.CorrelationEngine` opens a
 :class:`~repro.correlate.FleetIncident`, the question changes from "why is
 this query slow?" to "which *shared* component is degrading all of these
-environments at once?".  This module answers it with a cross-bundle
+environments at once?".  This module answers it with a cross-member
 dependency-path analysis:
 
 1. per member, the candidate shared components are checked against the
@@ -23,13 +23,14 @@ dependency-path analysis:
    the switch shared by all eight, because two attached-but-healthy members
    are evidence against the switch.
 
-The per-member scoring is also a registered
-:class:`~repro.core.registry.DiagnosisModule` (``"SC"``), so a single
-environment's pipeline can rank shared SAN components on demand
-(``default_pipeline(extra_modules=["SC"])``); the fleet drill-down reuses the
-same scoring across every member bundle and emits one
-:class:`FleetDiagnosis` — which the supervisor attaches to the fleet
-incident and to every member incident it short-circuits.
+Each member runs steps 1 and 2 where it lives (a watched environment's
+``shared_evidence``, in its worker process under the process pool), so only
+:class:`ComponentEvidence` rows meet here.  The per-member scoring is also a
+registered :class:`~repro.core.registry.DiagnosisModule` (``"SC"``), so a
+single environment's pipeline can rank shared SAN components on demand
+(``default_pipeline(extra_modules=["SC"])``).  The drill-down emits one
+:class:`FleetDiagnosis`, which the supervisor attaches to the fleet incident
+and to every member incident it short-circuits.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from ..stats.correlation import pearson
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..lab.environment import DiagnosisBundle
+    from ..stream.supervisor import WatchedEnvironment
     from .engine import FleetIncident
 
 __all__ = [
@@ -164,7 +166,10 @@ def rank_components_for_member(
     simulated time.  The fleet drill-down passes the correlator's cutoff
     (group open + drill-down delay): every member clock has provably passed
     it, so the analysis reads identical data no matter how far ahead other
-    members have raced — which keeps the fleet report deterministic.
+    members have raced — which keeps the fleet report deterministic.  A
+    member with no run completed by ``until`` has no evidence: every
+    candidate comes back off-path (it still counts as affected; it just
+    cannot vote).
     """
     if until is not None:
         runs = [
@@ -173,9 +178,10 @@ def rank_components_for_member(
             if r.end_time <= until
         ]
         if not runs:
-            raise ValueError(
-                f"no completed runs for {query_name!r} by t={until:g}"
-            )
+            return [
+                ComponentEvidence(component_id, env, False, None, 0.0)
+                for component_id in candidates
+            ]
         apg = build_apg(bundle, query_name, plan=runs[-1].plan, runs=runs)
     else:
         apg = build_apg(bundle, query_name)
@@ -213,49 +219,33 @@ def rank_components_for_member(
 
 def diagnose_fleet_incident(
     incident: "FleetIncident",
-    bundles: Mapping[str, "DiagnosisBundle"],
-    query_names: Mapping[str, str],
+    members: Mapping[str, "WatchedEnvironment"],
     membership: Mapping[str, Sequence[str]],
     *,
     until: float | None = None,
-    locks: Mapping[str, object] | None = None,
 ) -> FleetDiagnosis:
-    """Cross-bundle dependency-path analysis for one fleet incident.
+    """Cross-member dependency-path analysis for one fleet incident.
 
-    ``bundles`` / ``query_names`` map member environment names to their
-    snapshotted :class:`DiagnosisBundle` and watched query; ``membership``
+    ``members`` maps environment names to watched environments, local or
+    process-backed; each affected one scores the candidates against its own
+    run history where it lives (``shared_evidence``), so no member's stores
+    leave it.  ``membership``
     is the engine's shared-component map.  Every shared component with at
     least one affected attached member is a candidate; the ranking is
     coverage × mean correlation as described in the module docstring.
     ``until`` is the deterministic evidence cutoff (see
-    :func:`rank_components_for_member`).  ``locks`` optionally maps a member
-    to a context manager held while *its* evidence is read — the supervisor
-    passes each member environment's advance lock, since a sibling may be
-    mid-chunk on a pool thread while the drill-down reads its stores.
+    :func:`rank_components_for_member`).
     """
-    from contextlib import nullcontext
-
-    affected = [env for env in incident.member_envs if env in bundles]
+    affected = [env for env in incident.member_envs if env in members]
     candidates = sorted(
         component
         for component, attached in membership.items()
         if set(attached) & set(affected)
     )
-    locks = locks or {}
-    per_member: dict[str, list[ComponentEvidence]] = {}
-    for env in affected:
-        try:
-            with locks.get(env) or nullcontext():
-                per_member[env] = rank_components_for_member(
-                    bundles[env], query_names[env], candidates, env=env, until=until
-                )
-        except ValueError:
-            # A member with no completed runs by the cutoff contributes no
-            # evidence (it still counts as affected; it just cannot vote).
-            per_member[env] = [
-                ComponentEvidence(component, env, False, None, 0.0)
-                for component in candidates
-            ]
+    per_member = {
+        env: members[env].shared_evidence(candidates, until=until)
+        for env in affected
+    }
 
     causes: list[SharedCause] = []
     for component in candidates:

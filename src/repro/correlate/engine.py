@@ -335,8 +335,8 @@ class CorrelationEngine:
 
         A group is *ready* once the watermark has passed ``opened_at +
         drilldown_delay_s`` and it has no report yet — the caller should run
-        :func:`repro.correlate.diagnose_fleet_incident` over the member
-        bundles and :meth:`attach_report` the result.  Only the watermark
+        :func:`repro.correlate.diagnose_fleet_incident` over the watched
+        members and :meth:`attach_report` the result.  Only the watermark
         surfaces groups, so ``incident_opened`` and ``incident_resolved``
         events are just buffered and return ``[]``: a ready group comes
         back once, from the ``advanced`` feed (or :meth:`finalize`) that

@@ -365,10 +365,11 @@ class Environment:
     def advance_lock(self) -> threading.RLock:
         """The lock serialising :meth:`advance` calls.
 
-        Readers that must see a *quiescent* environment — e.g. the fleet
-        drill-down reading a sibling member's stores and topology while that
-        member may be mid-chunk on a pool thread — hold it around their
-        reads; the member's next chunk simply queues behind them.
+        Readers that must see a *quiescent* environment hold it around their
+        reads; the next chunk simply queues behind them.  The one such
+        reader is the fleet drill-down's per-member scoring
+        (:meth:`repro.stream.WatchedEnvironment.shared_evidence`), which
+        runs on a pool thread while the member may be mid-chunk on another.
         """
         return self._advance_lock
 

@@ -149,6 +149,8 @@ class ServeApp:
         pool: str | None = None,
     ) -> None:
         self.state_root = Path(state_root)
+        # Both refusals come before the root is created.
+        self.pool_backend = resolve_pool_backend(pool)
         # The removed sqlite backend kept every tenant's journals here;
         # resuming their checkpoints over an empty JSONL store would lose
         # those histories, so such a root is refused.
@@ -161,7 +163,6 @@ class ServeApp:
         self.state_root.mkdir(parents=True, exist_ok=True)
         self.backend = JsonlBackend(self.state_root / "shared")
         self.registry = TenantRegistry(self.state_root, self.backend)
-        self.pool_backend = resolve_pool_backend(pool)
         self.scheduler = Scheduler(pool=shared_pool(backend=self.pool_backend))
         self.sse_backlog = sse_backlog
         self.sessions: dict[str, WatchSession] = {}

@@ -384,7 +384,7 @@ def status_row(
     return {
         "env": watched.name,
         "query": watched.query_name,
-        "clock": watched.env.clock,
+        "clock": watched.clock,
         "runs": runs,
         "detections": sum(len(i.detections) for i in incidents)
         + manager.suppressed,

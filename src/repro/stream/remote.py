@@ -1,9 +1,11 @@
 """Parent-side proxies for environments that live in procpool workers.
 
-:class:`RemoteWatchedEnvironment` duck-types
-:class:`~repro.stream.supervisor.WatchedEnvironment` so every supervisor code
-path — the drive loop, checkpointing, resume, fleet correlation — runs
-unchanged.  The split of responsibilities:
+:class:`RemoteWatchedEnvironment` has the member surface of
+:class:`~repro.stream.supervisor.WatchedEnvironment` that the supervisor
+reads — ``clock``, ``advance``, ``diagnosis_request``, ``shared_evidence``,
+``detector_state``/``load_detector_state`` — so every supervisor code path
+(the drive loop, checkpointing, resume, fleet correlation) runs unchanged.
+The split of responsibilities:
 
 * **Worker process** (:mod:`repro.stream.worker`): a hydrated
   ``WatchedEnvironment`` — the simulator and the per-sample streaming
@@ -25,6 +27,9 @@ Diagnosis runs *in the worker* against the live bundle and comes back as
 ``report_to_dict`` output; :class:`RemoteReport` carries it into
 ``FleetSupervisor._resolve_wave``, which resolves via ``report_data`` —
 exactly the path fleet short-circuits already use, hence identical bytes.
+The fleet drill-down also scores each member in its worker
+(``evidence_env``): only the member's ``ComponentEvidence`` rows come back,
+a few hundred bytes, never its stores.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from concurrent.futures import Future
 from dataclasses import dataclass
 
-from ..lab.environment import DiagnosisBundle
+from ..correlate.diagnosis import ComponentEvidence
 from ..lab.scenarios import ScenarioInfo
 from ..runtime.procpool import ProcessWorkerPool
 from .detectors import Detection, watch_detectors
@@ -42,7 +47,7 @@ __all__ = ["RemoteWatchedEnvironment", "RemoteDiagnosisRequest", "RemoteReport"]
 
 ADVANCE_TASK = "repro.stream.worker:advance_env"
 DIAGNOSE_TASK = "repro.stream.worker:diagnose_env"
-BUNDLE_TASK = "repro.stream.worker:bundle_env"
+EVIDENCE_TASK = "repro.stream.worker:evidence_env"
 LOAD_TASK = "repro.stream.worker:load_detectors"
 
 
@@ -99,48 +104,6 @@ class RemoteDiagnosisRequest:
         return outer
 
 
-class _RemoteDetectorState:
-    """``state_dict``/``load_state`` facade over detector state in a worker.
-
-    Reads serve the parent-side cache (refreshed by every ``advance_env``
-    delta, so checkpoint snapshots are always iteration-boundary consistent);
-    ``load_state`` updates the cache *and* pushes both detector states to the
-    worker — the resume path.
-    """
-
-    def __init__(self, owner: "RemoteWatchedEnvironment", initial: dict) -> None:
-        self._owner = owner
-        self._state = initial
-
-    def state_dict(self) -> dict:
-        return self._state
-
-    def load_state(self, state: dict) -> None:
-        self._state = state
-        self._owner._push_detector_state()
-
-
-class _RemoteEnv:
-    """Just enough ``Environment`` surface for the supervisor.
-
-    ``clock`` serves the cached worker clock; ``bundle()`` fetches the full
-    bundle payload from the worker (fleet drill-down evidence).  There is
-    deliberately no ``advance_lock``: the worker serialises all tasks for
-    one environment on its single task queue, so a bundle export can never
-    observe a torn mid-chunk simulation.
-    """
-
-    def __init__(self, owner: "RemoteWatchedEnvironment") -> None:
-        self._owner = owner
-
-    @property
-    def clock(self) -> float:
-        return self._owner._clock
-
-    def bundle(self) -> DiagnosisBundle:
-        return self._owner._fetch_bundle()
-
-
 class RemoteWatchedEnvironment:
     """One supervised environment whose simulator lives in a procpool worker."""
 
@@ -162,7 +125,6 @@ class RemoteWatchedEnvironment:
         self.pool = pool
         self.spec = dict(spec, name=name, query_name=query_name)
         self.advanced_s = 0.0
-        self.env = _RemoteEnv(self)
         self._clock = 0.0
         self._runs = 0
         self._diagnosable = False
@@ -174,8 +136,15 @@ class RemoteWatchedEnvironment:
         # the checkpoint written before an environment's first advance must
         # match what thread mode snapshots for a just-built fleet.
         bank, run_detector = watch_detectors(query_name, **detector_config(spec))
-        self.bank = _RemoteDetectorState(self, bank.state_dict())
-        self.run_detector = _RemoteDetectorState(self, run_detector.state_dict())
+        self._detector_state = {
+            "bank": bank.state_dict(),
+            "run_detector": run_detector.state_dict(),
+        }
+
+    @property
+    def clock(self) -> float:
+        """The worker's simulated clock as of the last advance delta."""
+        return self._clock
 
     # -- chunk lifecycle -------------------------------------------------
     def advance(self, chunk_s: float) -> list[Detection]:
@@ -188,8 +157,7 @@ class RemoteWatchedEnvironment:
         self._clock = out["clock"]
         self._runs = out["runs"]
         self._diagnosable = out["diagnosable"]
-        self.bank._state = out["bank"]
-        self.run_detector._state = out["run_detector"]
+        self._detector_state = out["detectors"]
         return [Detection.from_dict(d) for d in out["detections"]]
 
     def diagnosable(self) -> bool:
@@ -202,23 +170,32 @@ class RemoteWatchedEnvironment:
         if evaluation is not None:
             self._evaluations[incident_id] = evaluation
 
-    # -- worker round-trips ----------------------------------------------
-    def _push_detector_state(self) -> None:
-        self.pool.submit_task(
-            LOAD_TASK,
-            {
-                "spec": self.spec,
-                "bank": self.bank._state,
-                "run_detector": self.run_detector._state,
-            },
+    def shared_evidence(
+        self, candidates: list[str], *, until: float | None
+    ) -> list[ComponentEvidence]:
+        """This member's fleet drill-down evidence, scored in its worker (which
+        runs its tasks one at a time, so never against a mid-chunk state)."""
+        out = self.pool.submit_task(
+            EVIDENCE_TASK,
+            {"spec": self.spec, "candidates": candidates, "until": until},
             affinity=self.name,
         ).result()
+        return [ComponentEvidence(**row) for row in out["evidence"]]
 
-    def _fetch_bundle(self) -> DiagnosisBundle:
-        payload = self.pool.submit_task(
-            BUNDLE_TASK, {"spec": self.spec}, affinity=self.name
+    def detector_state(self) -> dict:
+        """The cached detector state of the last advance delta, so a
+        checkpoint snapshot never waits on the worker."""
+        return self._detector_state
+
+    def load_detector_state(self, state: dict) -> None:
+        """Restore checkpointed detector state here and in the worker."""
+        self._detector_state = {
+            "bank": state["bank"],
+            "run_detector": state["run_detector"],
+        }
+        self.pool.submit_task(
+            LOAD_TASK, {"spec": self.spec, **self._detector_state}, affinity=self.name
         ).result()
-        return DiagnosisBundle.from_payload(payload)
 
     # -- reporting -------------------------------------------------------
     def status(self) -> dict:

@@ -48,6 +48,7 @@ from typing import Callable
 
 from ..core.evaluation import evaluate_report
 from ..core.pipeline import DiagnosisPipeline, DiagnosisRequest, default_pipeline
+from ..correlate.diagnosis import ComponentEvidence, rank_components_for_member
 from ..lab.environment import Environment
 from ..lab.scenarios import Scenario, ScenarioBundle, ScenarioInfo
 from ..obs import OBS_DIR, span
@@ -103,6 +104,11 @@ class WatchedEnvironment:
         self.env.collector.add_metric_tap(self._on_metric)
         self.env.collector.add_run_tap(self._on_run)
 
+    @property
+    def clock(self) -> float:
+        """The environment's simulated clock."""
+        return self.env.clock
+
     # -- tap callbacks ---------------------------------------------------
     def _on_metric(self, time: float, component_id: str, metric: str, value: float) -> None:
         detection = self.bank.observe(time, component_id, metric, value)
@@ -137,6 +143,30 @@ class WatchedEnvironment:
         bundle here.
         """
         return DiagnosisRequest(self.env.bundle(), self.query_name)
+
+    def shared_evidence(
+        self, candidates: list[str], *, until: float | None
+    ) -> list[ComponentEvidence]:
+        """This member's fleet drill-down evidence, read under the advance
+        lock: the drill-down's pool thread may race this member's chunk."""
+        with self.env.advance_lock:
+            bundle = self.env.bundle()
+            return rank_components_for_member(
+                bundle, self.query_name, candidates, env=self.name, until=until
+            )
+
+    # -- detector state ----------------------------------------------------
+    def detector_state(self) -> dict:
+        """The detectors' checkpointed state: ``{"bank", "run_detector"}``."""
+        return {
+            "bank": self.bank.state_dict(),
+            "run_detector": self.run_detector.state_dict(),
+        }
+
+    def load_detector_state(self, state: dict) -> None:
+        """Restore :meth:`detector_state` output (the resume path)."""
+        self.bank.load_state(state["bank"])
+        self.run_detector.load_state(state["run_detector"])
 
     # -- reporting -------------------------------------------------------
     def grade(self, report) -> tuple[bool, bool]:
@@ -381,7 +411,7 @@ class FleetSupervisor:
         and simulated inside its sticky worker instead of here; otherwise it
         is ignored and the environment is built in-process as always.
         """
-        if hydration is not None and getattr(self._pool(), "backend", "threads") == "process":
+        if hydration is not None and self._pool().backend == "process":
             return self.watch_remote(
                 name or scenario.info.name,
                 hydration,
@@ -411,7 +441,7 @@ class FleetSupervisor:
         checkpoint/resume and correlation machinery — stays in this process.
         """
         pool = self._pool()
-        if getattr(pool, "backend", "threads") != "process":
+        if pool.backend != "process":
             raise ValueError("watch_remote requires a process-backed worker pool")
         if name in self.watched:
             raise ValueError(f"environment {name!r} already watched")
@@ -489,7 +519,7 @@ class FleetSupervisor:
                 **extra,
                 resolved_at=incident.resolved_at,
                 clock=(
-                    incident.resolved_at if extra.get("fleet") else watched.env.clock
+                    incident.resolved_at if extra.get("fleet") else watched.clock
                 ),
             )
         if self.correlator is not None:
@@ -527,33 +557,18 @@ class FleetSupervisor:
 
     # -- cross-environment correlation -----------------------------------
     def _on_fleet_incident(self, group) -> None:
-        """Snapshot member bundles and attach the fleet-level report."""
+        """Drill down across the members and attach the fleet report (looked
+        up per call, so a wrapper on the module sees every drill-down)."""
         from ..correlate.diagnosis import diagnose_fleet_incident
 
-        bundles = {}
-        queries = {}
-        locks = {}
-        for env in group.member_envs:
-            watched = self.watched.get(env)
-            if watched is None:
-                continue
-            bundles[env] = watched.env.bundle()
-            queries[env] = watched.query_name
-            # A sibling member may be mid-chunk on a pool thread while its
-            # evidence is read: hold its advance lock per member.
-            lock = getattr(watched.env, "advance_lock", None)
-            if lock is not None:
-                locks[env] = lock
         diagnosis = diagnose_fleet_incident(
             group,
-            bundles,
-            queries,
+            self.watched,
             self.correlator.membership,
             # The engine surfaces a group once the watermark passed
             # opened_at + drilldown_delay_s — the cutoff must not read
             # beyond what every member clock has provably covered.
             until=group.opened_at + self.correlator.drilldown_delay_s,
-            locks=locks,
         )
         self.correlator.attach_report(group.fleet_id, diagnosis.to_report_data())
 
@@ -669,7 +684,7 @@ class FleetSupervisor:
             ]
         if not open_incidents or not watched.diagnosable():
             return None
-        clock = watched.env.clock
+        clock = watched.clock
         for incident in open_incidents:
             watched.manager.begin_diagnosis(incident, clock)
         return open_incidents, watched.diagnosis_request()
@@ -692,7 +707,7 @@ class FleetSupervisor:
         short-circuits use, so `Incident.to_dict` output is byte-identical
         to thread mode's live-report serialization.
         """
-        clock = watched.env.clock
+        clock = watched.clock
         for incident in incidents:
             if isinstance(report, RemoteReport):
                 incident.report_data = report.report_data
@@ -898,7 +913,7 @@ class FleetSupervisor:
                                 "incident_ids": [
                                     i.incident_id for i in incidents
                                 ],
-                                "clock": watched.env.clock,
+                                "clock": watched.clock,
                             },
                         )
                         report = await self._diagnose_async(
@@ -911,9 +926,9 @@ class FleetSupervisor:
                 # opens and resolves are buffered) and before the snapshot
                 # stash, so the engine's watermark state is never behind a
                 # checkpointed environment snapshot.  Any drill-down this
-                # surfaces is bridged onto the worker pool: the cross-bundle
-                # analysis (and the sibling advance locks it takes) must not
-                # stall the coordination loop the whole fleet shares.
+                # surfaces is bridged onto the worker pool: waiting on member
+                # evidence (advance locks, worker round-trips) must not stall
+                # the coordination loop the whole fleet shares.
                 # Re-attaching after a kill is safe (report journalling is
                 # idempotent), so the snapshot-ordering invariant is
                 # unaffected by awaiting here.
@@ -940,7 +955,7 @@ class FleetSupervisor:
                         {
                             "type": "advanced",
                             "env": watched.name,
-                            "clock": watched.env.clock,
+                            "clock": watched.clock,
                             "advanced_s": watched.advanced_s,
                             "fleet_advanced_s": self.advanced_s,
                             "detections": len(detections),
@@ -955,7 +970,7 @@ class FleetSupervisor:
             await asyncio.sleep(0)
         self._emit(
             on_event,
-            {"type": "env_done", "env": watched.name, "clock": watched.env.clock},
+            {"type": "env_done", "env": watched.name, "clock": watched.clock},
         )
 
     async def _diagnose_async(
@@ -1063,10 +1078,9 @@ class FleetSupervisor:
         point: between that environment's iterations)."""
         return {
             "query_name": watched.query_name,
-            "clock": watched.env.clock,
+            "clock": watched.clock,
             "advanced_s": watched.advanced_s,
-            "bank": watched.bank.state_dict(),
-            "run_detector": watched.run_detector.state_dict(),
+            **watched.detector_state(),
             "manager": watched.manager.state_dict(),
         }
 
@@ -1222,8 +1236,7 @@ class FleetSupervisor:
                 fast_forward(watched)
         for name, env_state in saved.items():
             watched = self.watched[name]
-            watched.bank.load_state(env_state["bank"])
-            watched.run_detector.load_state(env_state["run_detector"])
+            watched.load_detector_state(env_state)
             watched.manager.load_state(env_state["manager"])
             watched.advanced_s = clocks[name]
         if self.correlator is not None and state.get("correlator") is not None:

@@ -22,13 +22,16 @@ The contract with :mod:`repro.stream.remote` (the parent-side proxies):
   the live bundle and returns ``report_to_dict`` output — the same dict the
   thread-mode report serialises to, which is what keeps incident histories
   byte-for-byte identical across backends.
-* ``bundle_env`` exports the whole bundle (fleet drill-down needs cross-
-  member evidence in the parent); ``load_detectors`` restores checkpointed
-  detector state after a resume fast-forward.
+* ``evidence_env`` scores the fleet drill-down's candidate shared
+  components against the live bundle and returns the member's
+  ``ComponentEvidence`` rows — the bundle itself never leaves the worker;
+  ``load_detectors`` restores checkpointed detector state after a resume
+  fast-forward.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any
 
 from ..fleets import FLEET_SCENARIOS, SCENARIOS
@@ -43,7 +46,7 @@ from .supervisor import WatchedEnvironment
 __all__ = [
     "advance_env",
     "diagnose_env",
-    "bundle_env",
+    "evidence_env",
     "load_detectors",
     "reset_worker_state",
 ]
@@ -127,7 +130,7 @@ def advance_env(payload: dict) -> dict:
     with obs_worker.worker_span(
         "worker.advance",
         env=payload["spec"]["name"],
-        sim_t=watched.env.clock,
+        sim_t=watched.clock,
         chunk_s=float(payload["chunk_s"]),
     ), obs_metrics.timed("env.advance_s"):
         detections = watched.advance(float(payload["chunk_s"]))
@@ -136,11 +139,10 @@ def advance_env(payload: dict) -> dict:
         obs_metrics.inc("env.detections", len(detections))
     return {
         "detections": [d.to_dict() for d in detections],
-        "clock": watched.env.clock,
+        "clock": watched.clock,
         "runs": len(watched.env.stores.runs.runs(watched.query_name)),
         "diagnosable": watched.diagnosable(),
-        "bank": watched.bank.state_dict(),
-        "run_detector": watched.run_detector.state_dict(),
+        "detectors": watched.detector_state(),
     }
 
 
@@ -156,7 +158,7 @@ def diagnose_env(payload: dict) -> dict:
 
     watched = _hydrated(payload["spec"])
     with obs_worker.worker_span(
-        "worker.diagnose", env=payload["spec"]["name"], sim_t=watched.env.clock
+        "worker.diagnose", env=payload["spec"]["name"], sim_t=watched.clock
     ), obs_metrics.timed("env.diagnose_s"):
         report = _pipeline().diagnose(watched.env.bundle(), watched.query_name)
     obs_metrics.inc("env.diagnoses")
@@ -167,21 +169,21 @@ def diagnose_env(payload: dict) -> dict:
     return out
 
 
-def bundle_env(payload: dict) -> dict:
-    """Export the full diagnosis bundle (fleet drill-down evidence)."""
+def evidence_env(payload: dict) -> dict:
+    """Score fleet drill-down candidates against the worker-side bundle."""
     watched = _hydrated(payload["spec"])
     with obs_worker.worker_span(
-        "worker.bundle", env=payload["spec"]["name"], sim_t=watched.env.clock
-    ), obs_metrics.timed("env.bundle_s"):
-        return watched.env.bundle().to_payload()
+        "worker.evidence", env=payload["spec"]["name"], sim_t=watched.clock
+    ), obs_metrics.timed("env.evidence_s"):
+        evidence = watched.shared_evidence(payload["candidates"], until=payload["until"])
+    return {"evidence": [asdict(row) for row in evidence]}
 
 
 def load_detectors(payload: dict) -> dict:
     """Restore checkpointed detector state after a resume fast-forward."""
     watched = _hydrated(payload["spec"])
-    watched.bank.load_state(payload["bank"])
-    watched.run_detector.load_state(payload["run_detector"])
-    return {"clock": watched.env.clock}
+    watched.load_detector_state(payload)
+    return {"clock": watched.clock}
 
 
 def reset_worker_state(payload: dict) -> dict:

@@ -18,12 +18,14 @@ import json
 import pytest
 
 from repro.correlate import (
+    ComponentEvidence,
     CorrelationEngine,
     FleetIncidentState,
     FleetIncidentStore,
     fabric_coincidental_independent_faults,
     fabric_shared_pool_saturation,
     fabric_shared_switch_degradation,
+    rank_components_for_member,
 )
 from repro.stream import FleetSupervisor, IncidentState
 
@@ -119,6 +121,30 @@ class TestSharedPoolSaturation:
         rows = {r["env"]: r for r in payload["fleet"]}
         attached = _fabric.membership()["P1"]
         assert all(rows[env]["group"] == "FLEET-P1-1" for env in attached)
+
+
+class TestMemberEvidence:
+    def test_no_completed_run_by_the_cutoff_gives_off_path_evidence(
+        self, pool_run
+    ):
+        """A member whose first run ends after the drill-down cutoff cannot
+        vote: every candidate comes back off-path, and nothing raises."""
+        fabric, _engine, supervisor, _events = pool_run
+        watched = supervisor.watched[fabric.membership()["P1"][0]]
+        bundle = watched.env.bundle()
+        runs = bundle.stores.runs.runs(watched.query_name)
+        cutoff = min(run.end_time for run in runs) - 1.0
+        candidates = sorted(fabric.membership())
+        evidence = rank_components_for_member(
+            bundle, watched.query_name, candidates, env=watched.name, until=cutoff
+        )
+        assert evidence == [
+            ComponentEvidence(component, watched.name, False, None, 0.0)
+            for component in candidates
+        ]
+        # With its whole history the same member has the pool on-path.
+        evidence = watched.shared_evidence(candidates, until=None)
+        assert "P1" in [ev.component_id for ev in evidence if ev.on_path]
 
 
 class TestCoincidentalControl:

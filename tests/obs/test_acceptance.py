@@ -41,6 +41,10 @@ class _StubWatched:
         self.env = SimpleNamespace(clock=0.0, bundle=lambda: None)
         self.info = None
 
+    @property
+    def clock(self) -> float:
+        return self.env.clock
+
     def advance(self, chunk_s: float) -> list[Detection]:
         time.sleep(0.002)
         self.env.clock += chunk_s

@@ -264,3 +264,21 @@ def test_sqlite_state_root_is_refused(tmp_path, capsys):
     assert main(["serve", "--state-root", str(root), "--port", "0"]) == 2
     assert str(root / "shared.db") in capsys.readouterr().err
     assert [p.name for p in root.iterdir()] == ["shared.db"]
+
+
+def test_unknown_pool_is_refused_before_the_root_exists(
+    tmp_path, monkeypatch, capsys
+):
+    """An unknown pool backend is refused before the server creates its
+    state root, so a mistyped ``REPRO_POOL`` leaves nothing behind."""
+    from repro.cli import main
+    from repro.serve import ServeApp
+
+    root = tmp_path / "root"
+    with pytest.raises(ValueError, match="bogus"):
+        ServeApp(root, pool="bogus")
+    assert not root.exists()
+    monkeypatch.setenv("REPRO_POOL", "bogus")
+    assert main(["serve", "--state-root", str(root), "--port", "0"]) == 2
+    assert "unknown pool backend 'bogus'" in capsys.readouterr().err
+    assert not root.exists()

@@ -182,10 +182,10 @@ class TestResumeSwitchesBackends:
 class TestFleetCorrelationAcrossBackends:
     """Shared-fabric grouping, ranking, and short-circuits agree byte-for-byte.
 
-    The fleet diagnosis wave pulls every affected member's full bundle into
-    the parent — on the process backend that exercises the worker-side
-    ``bundle_env`` export — so identical fleet incidents prove the bundle
-    payload round-trip is lossless where it matters.
+    On the process backend each affected member scores the drill-down's
+    candidates in its own worker (``evidence_env``), so identical fleet
+    incidents prove the evidence round-trip is lossless; the traffic check
+    pins that only evidence rows, never member bundles, cross the boundary.
     """
 
     def _run(self, pool=None):
@@ -201,12 +201,25 @@ class TestFleetCorrelationAcrossBackends:
         supervisor.run(HOURS * 3600.0)
         return engine, supervisor
 
-    def test_fleet_incidents_identical(self, proc_pool):
+    def test_fleet_incidents_identical(self, proc_pool, monkeypatch):
         thread_engine, thread_sup = self._run()
+        submitted = []
+        submit_task = proc_pool.submit_task
+
+        def recording(task, payload, *, affinity=None):
+            future = submit_task(task, payload, affinity=affinity)
+            submitted.append((task.rsplit(":", 1)[-1], future))
+            return future
+
+        monkeypatch.setattr(proc_pool, "submit_task", recording)
         proc_engine, proc_sup = self._run(pool=proc_pool)
         assert all(
             getattr(w, "is_remote", False) for w in proc_sup.watched.values()
         )
+        traffic = [(task, len(json.dumps(f.result()))) for task, f in submitted]
+        assert any(task == "evidence_env" for task, _size in traffic)
+        task, size = max(traffic, key=lambda row: row[1])
+        assert size <= 1 << 20, f"{task} returned {size} bytes"
 
         def dump(groups):
             return json.dumps([g.to_dict() for g in groups], sort_keys=True)
